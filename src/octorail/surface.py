@@ -35,7 +35,7 @@ therefore checked modulo such terms ("droppable" below).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -747,9 +747,8 @@ def _min_weight_pairing(weight_matrix):
     if n <= 12:
         return _exhaustive_pairing(weight_matrix)
     graph = nx.Graph()
-    for i in range(n):
-        for j in range(i + 1, n):
-            graph.add_edge(i, j, weight=weight_matrix[i][j])
+    graph.add_weighted_edges_from((i, j, weight_matrix[i][j])
+                                  for i in range(n) for j in range(i + 1, n))
     return {tuple(sorted(e)) for e in
             nx.min_weight_matching(graph)}
 
@@ -783,56 +782,39 @@ def decode_matching(defects, graph, boundary_dist, boundary_path):
     ``boundary_path[v]`` give each node's cheapest connection to the open
     boundary and that path's logical-cut crossing parity.  Returns
     (matched pairs, total cut-crossing parity of the correction).
+
+    The cut runs along the open boundary (see ``_rotated_layout``): every
+    cut qubit belongs to one stabilizer and so is a boundary edge, never a
+    graph edge.  A path between two defects therefore never crosses it,
+    and only boundary matches add to the parity.
     """
     from scipy.sparse.csgraph import dijkstra
 
     if not defects:
         return [], 0
-    dist, pred = dijkstra(graph, indices=defects, return_predecessors=True)
+    dist = dijkstra(graph, indices=defects)
     k = len(defects)
-    size = 2 * k
     big = 1e12
-    weights = [[0.0] * size for _ in range(size)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                weights[i][j] = min(dist[i][defects[j]], big)
-        weights[i][k + i] = boundary_dist[defects[i]]
-        for j in range(k):
-            if j != i:
-                weights[i][k + j] = big
-    # boundary twins pair freely at zero cost
-    pairs = _min_weight_pairing(weights)
+    # defects 0..k-1, then one boundary twin per defect; each defect reaches
+    # only its own twin, and the twins pair freely at zero cost.  The
+    # pairing reads the upper triangle only.
+    weights = np.zeros((2 * k, 2 * k))
+    weights[:k, :k] = np.minimum(dist[:, defects], big)
+    twins = weights[:k, k:]
+    twins[...] = big
+    twins.flat[::k + 1] = boundary_dist[defects]
+    pairs = _min_weight_pairing(weights.tolist())
     crossings = 0
     matched = []
-    for a, b in pairs:
-        if a >= k and b >= k:
+    for a, b in pairs:  # each pair is sorted, a < b
+        if a >= k:
             continue
-        if b < a:
-            a, b = b, a
         if b >= k:  # defect a matched to the boundary
-            crossings += boundary_path[defects[a]]
+            crossings ^= int(boundary_path[defects[a]])
             matched.append((defects[a], "boundary"))
         else:
-            crossings += _path_crossings(pred[a], defects[a], defects[b])
             matched.append((defects[a], defects[b]))
-    return matched, crossings % 2
-
-
-_CUT_EDGE_LOOKUP = {}
-
-
-def _path_crossings(pred_row, source, targetnode):
-    count = 0
-    node = targetnode
-    lookup = _CUT_EDGE_LOOKUP["current"]
-    while node != source:
-        parent = pred_row[node]
-        if parent < 0:
-            return count
-        count += lookup.get((min(parent, node), max(parent, node)), 0)
-        node = parent
-    return count
+    return matched, crossings
 
 
 @dataclass(frozen=True)
@@ -859,6 +841,105 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+#: Trials sampled, binned and reduced to defects together.  It bounds the
+#: memory of one block at any trial count and does not change results: the
+#: random stream is drawn in the same order whatever the block size.
+_BLOCK_TRIALS = 256
+
+
+@dataclass(frozen=True)
+class _DecodingGraph:
+    """Static structure of the space-time matching graph.
+
+    Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``.  A
+    trial supplies its edge weights as one row: the flip weight of every
+    (round, qubit), then of every (round, stabilizer readout), then +inf.
+    """
+    n_nodes: int
+    indices: np.ndarray  # CSR structure of the symmetric adjacency
+    indptr: np.ndarray
+    data_col: np.ndarray  # weight-row column of each CSR entry
+    anchor_node: np.ndarray  # nodes with edges to the open boundary
+    anchor_col: np.ndarray  # their boundary edges' weight columns, in scan
+    # order, padded with the +inf column
+    anchor_crossing: np.ndarray  # whether each boundary edge crosses the cut
+
+
+def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
+    from scipy.sparse import csr_matrix
+
+    n_stabs = len(stabs)
+    n_qubits = len(adjacency)
+    n_nodes = (rounds + 1) * n_stabs
+    src, dst, col = [], [], []
+    boundary = {}  # anchor node -> [(weight column, crossing)]
+    for layer in range(rounds):  # space edges exist on noisy layers only
+        base = layer * n_stabs
+        for q in range(n_qubits):
+            stabs_of_q = adjacency[q]
+            if len(stabs_of_q) == 2:
+                src.append(base + stabs_of_q[0])
+                dst.append(base + stabs_of_q[1])
+                col.append(layer * n_qubits + q)
+            elif len(stabs_of_q) == 1:
+                boundary.setdefault(base + stabs_of_q[0], []).append(
+                    (layer * n_qubits + q, q in cut_qubits))
+        for s_id in range(n_stabs):
+            src.append(base + s_id)
+            dst.append(base + n_stabs + s_id)
+            col.append(rounds * n_qubits + base + s_id)
+    # no two edges join the same nodes, so each CSR entry holds one slot
+    n_edges = len(col)
+    slots = csr_matrix((np.arange(1.0, 2 * n_edges + 1),
+                        (np.array(src + dst), np.array(dst + src))),
+                       shape=(n_nodes, n_nodes))
+    data_col = np.array(col + col)[slots.data.astype(np.intp) - 1]
+
+    pad_col = rounds * (n_qubits + n_stabs)
+    width = max(len(edges) for edges in boundary.values())
+    anchor_col = np.full((len(boundary), width), pad_col)
+    anchor_crossing = np.zeros((len(boundary), width), dtype=bool)
+    for i, edges in enumerate(boundary.values()):
+        anchor_col[i, :len(edges)], anchor_crossing[i, :len(edges)] = zip(
+            *edges)
+    return _DecodingGraph(n_nodes, slots.indices, slots.indptr,
+                          data_col, np.array(list(boundary)), anchor_col,
+                          anchor_crossing)
+
+
+def _boundary_pass(graph, weight_row, dg: _DecodingGraph):
+    """Each node's cheapest connection to the open boundary and that path's
+    cut-crossing parity: (boundary_dist, boundary_path), +inf and 0 where
+    no anchor is reachable.
+
+    An anchor's boundary edge is its lightest candidate.  Ties go to the
+    first candidate in scan order and to the first anchor, as in a scan
+    that keeps a value only when it is strictly lower.  Flip weights are
+    finite on any trial that has defects: a NaN weight needs a residual
+    beyond ~38 sigma, and at so small a sigma no shift reaches sqrt(pi)/2.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    cand = weight_row[dg.anchor_col]
+    best = cand.argmin(axis=1)  # argmin returns the first minimum
+    total = (dijkstra(graph, indices=dg.anchor_node)
+             + cand.min(axis=1)[:, None])
+    k = total.argmin(axis=0)
+    boundary_dist = total[k, np.arange(dg.n_nodes)]
+    # no graph edge crosses the cut (see decode_matching): the path's parity
+    # is that of its boundary edge
+    boundary_path = np.where(boundary_dist < np.inf,
+                             dg.anchor_crossing[k, best[k]], 0)
+    return boundary_dist, boundary_path
+
+
+def _bin(shifts):
+    """Flip bits and residuals of quadrature shifts on the sqrt(pi) grid."""
+    n_grid = np.floor(shifts / SQRT_PI + 0.5)
+    flips = (n_grid.astype(np.int64) % 2).astype(bool)
+    return flips, shifts - n_grid * SQRT_PI
+
+
 def memory_experiment(distance: int, squeezing_db: float, rounds: int,
                       trials: int, seed: int) -> MemoryResult:
     """Phenomenological memory experiment on one check sector of the
@@ -869,6 +950,9 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     two hops per round; each syndrome readout accrues one such shift.
     Shifts are binned on the sqrt(pi) grid; the residuals drive the analog
     matching weights.  The final readout round is noiseless.
+
+    Trials are sampled and reduced to defects in blocks; only trials with
+    defects reach the decoder.
     """
     if distance not in (3, 5, 7):
         raise ValueError("distance must be 3, 5 or 7")
@@ -876,10 +960,10 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         raise ValueError("rounds must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not (math.isfinite(squeezing_db) and squeezing_db > 0):
+        raise ValueError(f"squeezing_db must be a finite level above 0 dB, "
+                         f"got {squeezing_db}")
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
 
     delta_sq = 10 ** (-squeezing_db / 10)
     sigma = math.sqrt(2 * (delta_sq / 2) * 2)   # two hops per round
@@ -888,106 +972,50 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     stabs, adjacency, cut_qubits = _rotated_layout(distance)
     n_stabs = len(stabs)
     n_qubits = distance * distance
-    n_layers = rounds + 1  # rounds noisy layers + one perfect readout layer
+    n_q = rounds * n_qubits
+    dg = _decoding_graph(stabs, adjacency, cut_qubits, rounds)
+    incidence = np.zeros((n_qubits, n_stabs), dtype=np.uint8)
+    for s_id, members in enumerate(stabs):
+        incidence[list(members), s_id] = 1
+    cut_list = sorted(cut_qubits)
 
-    def node(s_id, layer):
-        return layer * n_stabs + s_id
-
-    n_nodes = n_layers * n_stabs
-    # static edge structure; weights refilled per trial
-    edge_src, edge_dst, edge_kind, edge_ref = [], [], [], []
-    boundary_edges = {layer: [] for layer in range(n_layers)}
-    cut_edge_template = {}
-    for layer in range(rounds):  # space edges exist on noisy layers only
-        for q in range(n_qubits):
-            stabs_of_q = adjacency[q]
-            crossing = 1 if q in cut_qubits else 0
-            if len(stabs_of_q) == 2:
-                a, b = (node(stabs_of_q[0], layer), node(stabs_of_q[1], layer))
-                edge_src.append(a)
-                edge_dst.append(b)
-                edge_kind.append("q")
-                edge_ref.append((layer, q))
-                if crossing:
-                    cut_edge_template[(min(a, b), max(a, b))] = 1
-            elif len(stabs_of_q) == 1:
-                boundary_edges[layer].append((node(stabs_of_q[0], layer),
-                                              ("q", layer, q), crossing))
-        for s_id in range(n_stabs):
-            edge_src.append(node(s_id, layer))
-            edge_dst.append(node(s_id, layer + 1))
-            edge_kind.append("m")
-            edge_ref.append((layer, s_id))
-
-    stab_members = [np.array(m) for m in stabs]
     rng = np.random.default_rng(seed)
     failures = 0
-    for _ in range(trials):
-        shifts = rng.normal(0.0, sigma, size=(rounds, n_qubits))
-        m_shifts = rng.normal(0.0, sigma_m, size=(rounds, n_stabs))
-        n_grid = np.floor(shifts / SQRT_PI + 0.5)
-        flips = (n_grid.astype(np.int64) % 2).astype(bool)
-        resid = shifts - n_grid * SQRT_PI
-        mn_grid = np.floor(m_shifts / SQRT_PI + 0.5)
-        m_flips = (mn_grid.astype(np.int64) % 2).astype(bool)
-        m_resid = m_shifts - mn_grid * SQRT_PI
+    for start in range(0, trials, _BLOCK_TRIALS):
+        size = min(_BLOCK_TRIALS, trials - start)
+        # rng.normal(0, s, n) draws s * standard_normal(n); each row holds
+        # one trial's qubit shifts, then its readout shifts
+        z = rng.standard_normal((size, n_q + rounds * n_stabs))
+        flips, resid = _bin(sigma * z[:, :n_q])
+        m_flips, m_resid = _bin(sigma_m * z[:, n_q:])
 
-        cum = np.logical_xor.accumulate(flips, axis=0)
-        syndromes = np.zeros((n_layers, n_stabs), dtype=bool)
-        for s_id, members in enumerate(stab_members):
-            parity = cum[:, members].sum(axis=1) % 2
-            syndromes[:rounds, s_id] = parity.astype(bool) ^ m_flips[:, s_id]
-            syndromes[rounds, s_id] = bool(parity[-1])
-        defect_grid = np.logical_xor(
-            syndromes, np.vstack([np.zeros((1, n_stabs), dtype=bool),
-                                  syndromes[:-1]]))
-        defects = [node(s, t) for t in range(n_layers)
-                   for s in range(n_stabs) if defect_grid[t, s]]
-        true_parity = int(cum[-1, list(cut_qubits)].sum() % 2)
-        if not defects:
-            failures += true_parity
-            continue
+        cum = np.logical_xor.accumulate(
+            flips.reshape(size, rounds, n_qubits), axis=1)
+        parity = ((cum.view(np.uint8) @ incidence) & 1).astype(bool)
+        syndromes = np.concatenate(
+            [parity ^ m_flips.reshape(size, rounds, n_stabs),
+             parity[:, -1:]], axis=1)
+        defect_grid = syndromes.copy()
+        defect_grid[:, 1:] ^= syndromes[:, :-1]
+        defect_grid = defect_grid.reshape(size, -1)
+        true_parity = cum[:, -1, cut_list].sum(axis=1) % 2
+        has_defects = defect_grid.any(axis=1)
+        failures += int(true_parity[~has_defects].sum())
+        for trial in np.flatnonzero(has_defects):
+            # weights per trial: for a whole block, the (trials, columns, 7)
+            # temporaries of _flip_weights would dominate peak memory
+            weight_row = np.concatenate(
+                [_flip_weights(resid[trial], sigma),
+                 _flip_weights(m_resid[trial], sigma_m), [np.inf]])
+            graph = csr_matrix((weight_row[dg.data_col], dg.indices,
+                                dg.indptr), shape=(dg.n_nodes, dg.n_nodes))
+            boundary_dist, boundary_path = _boundary_pass(graph, weight_row,
+                                                          dg)
+            defects = np.flatnonzero(defect_grid[trial]).tolist()
+            _, correction_parity = decode_matching(
+                defects, graph, boundary_dist, boundary_path)
+            failures += int(true_parity[trial]) ^ correction_parity
 
-        q_weights = _flip_weights(resid, sigma)
-        m_weights = _flip_weights(m_resid, sigma_m)
-        weights = np.empty(len(edge_src))
-        for idx, kind in enumerate(edge_kind):
-            layer, ref = edge_ref[idx]
-            weights[idx] = (q_weights[layer, ref] if kind == "q"
-                            else m_weights[layer, ref])
-        graph = csr_matrix(
-            (np.concatenate([weights, weights]),
-             (np.concatenate([edge_src, edge_dst]),
-              np.concatenate([edge_dst, edge_src]))),
-            shape=(n_nodes, n_nodes))
-        boundary_dist = np.full(n_nodes, np.inf)
-        boundary_path = np.zeros(n_nodes, dtype=np.int64)
-        direct = {}
-        for layer in range(rounds):
-            for target, (_, lyr, q), crossing in boundary_edges[layer]:
-                w = q_weights[lyr, q]
-                if w < direct.get(target, (np.inf, 0))[0]:
-                    direct[target] = (w, crossing)
-        if direct:
-            anchors = list(direct)
-            dist_b, pred_b = dijkstra(graph, indices=anchors,
-                                      return_predecessors=True)
-            for v in range(n_nodes):
-                for k, anchor in enumerate(anchors):
-                    w_anchor, crossing = direct[anchor]
-                    total = dist_b[k, v] + w_anchor
-                    if total < boundary_dist[v]:
-                        boundary_dist[v] = total
-                        _CUT_EDGE_LOOKUP["current"] = cut_edge_template
-                        boundary_path[v] = (crossing +
-                                            _path_crossings(pred_b[k],
-                                                            anchor, v)) % 2
-        _CUT_EDGE_LOOKUP["current"] = cut_edge_template
-        _, correction_parity = decode_matching(defects, graph,
-                                               boundary_dist, boundary_path)
-        failures += (true_parity + correction_parity) % 2
-
-    failures = int(failures)
     rate = failures / trials
     ci_low, ci_high = wilson_interval(failures, trials)
     return MemoryResult(distance, squeezing_db, rounds, trials, failures,

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from octorail.cli import cli, run_verification_suites
+from octorail.cli import cli, main, run_verification_suites
 
 
 @pytest.fixture
@@ -180,6 +180,16 @@ def test_config_file_precedence(runner, tmp_path):
     result = runner.invoke(cli, ["--config", str(cfg), "gkp", "perror",
                                  "--db", "10"])
     assert json.loads(result.output)["db"] == 10.0
+
+
+@pytest.mark.parametrize("db", ["0", "-3"])
+def test_surface_memory_rejects_unsqueezed_level(capsys, db):
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "memory", "--db", db, "--trials", "5"])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: squeezing_db must be a finite level above "
+                          "0 dB")
 
 
 def test_error_is_single_line(runner):

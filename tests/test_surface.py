@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from octorail import surface
 from octorail.exact import HALF_SQRT2, ZERO, ExactCoeff
 from octorail.networks import build_network, x_block
 from octorail.surface import (BELL_WIRING, SQRT_PI, MeasurementBasis,
@@ -317,3 +318,181 @@ def test_memory_experiment_validates_arguments():
         memory_experiment(4, 10.0, 3, 10, seed=0)
     with pytest.raises(ValueError):
         memory_experiment(3, 10.0, 0, 10, seed=0)
+    with pytest.raises(ValueError):
+        memory_experiment(3, 10.0, 3, 0, seed=0)
+    for db in (0.0, -3.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="squeezing_db"):
+            memory_experiment(3, db, 3, 10, seed=0)
+
+
+# Seeded failures of memory_experiment(d, dB, rounds, 240, seed), recorded
+# on the per-trial implementation that preceded block sampling.
+_PINNED_FAILURES = {
+    (3, 7.0, 1): (137, 51),
+    (3, 7.0, 3): (337, 114),
+    (3, 11.0, 1): (141, 2),
+    (3, 11.0, 3): (341, 8),
+    (3, 13.0, 1): (143, 0),
+    (3, 13.0, 3): (343, 2),
+    (5, 7.0, 1): (157, 72),
+    (5, 7.0, 3): (357, 126),
+    (5, 11.0, 1): (161, 0),
+    (5, 11.0, 3): (361, 13),
+    (5, 13.0, 1): (163, 0),
+    (5, 13.0, 3): (363, 0),
+    (7, 7.0, 1): (177, 101),
+    (7, 7.0, 3): (377, 121),
+    (7, 11.0, 1): (181, 4),
+    (7, 11.0, 3): (381, 42),
+    (7, 13.0, 1): (183, 0),
+    (7, 13.0, 3): (383, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_FAILURES),
+                         ids=lambda k: f"d{k[0]}-{k[1]:g}dB-r{k[2]}")
+def test_memory_experiment_pinned_seeded_results(key):
+    """Block sampling and the array boundary pass reproduce the seeded
+    results of the per-trial implementation bit for bit.
+
+    The values embed the ``_flip_weights`` fault: its two slices are named
+    the wrong way round, so every matching weight is floored to 1e-6.  They
+    must move, and be recorded again, when that fault is fixed.
+    """
+    distance, db, rounds = key
+    seed, failures = _PINNED_FAILURES[key]
+    result = memory_experiment(distance, db, rounds, 240, seed)
+    assert result.failures == failures
+    assert type(result.failures) is int
+    assert result.rate == failures / 240
+    assert (result.ci_low, result.ci_high) == wilson_interval(failures, 240)
+
+
+def test_memory_experiment_stream_is_continuous_across_blocks(monkeypatch):
+    cases = [(3, 11.0, 3, 50, 1), (5, 9.0, 2, 50, 2), (7, 13.0, 1, 50, 3)]
+    whole = [memory_experiment(*case) for case in cases]
+    monkeypatch.setattr(surface, "_BLOCK_TRIALS", 7)
+    assert [memory_experiment(*case) for case in cases] == whole
+
+
+def _scan_oracle(distance, rounds):
+    """Edge lists of the space-time graph and the boundary scan as the
+    per-node loops computed it (anchors x nodes with a strict '<', and a
+    predecessor walk for the cut parity): the array boundary pass must
+    reproduce it exactly."""
+    stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
+    n_stabs, n_qubits = len(stabs), distance * distance
+    src, dst, col = [], [], []
+    boundary_edges = []
+    cut_edges = {}
+    for layer in range(rounds):
+        for q in range(n_qubits):
+            stabs_of_q = adjacency[q]
+            crossing = 1 if q in cut_qubits else 0
+            if len(stabs_of_q) == 2:
+                a = layer * n_stabs + stabs_of_q[0]
+                b = layer * n_stabs + stabs_of_q[1]
+                src.append(a)
+                dst.append(b)
+                col.append(layer * n_qubits + q)
+                if crossing:
+                    cut_edges[(min(a, b), max(a, b))] = 1
+            elif len(stabs_of_q) == 1:
+                boundary_edges.append((layer * n_stabs + stabs_of_q[0],
+                                       layer * n_qubits + q, crossing))
+        for s_id in range(n_stabs):
+            src.append(layer * n_stabs + s_id)
+            dst.append((layer + 1) * n_stabs + s_id)
+            col.append(rounds * n_qubits + layer * n_stabs + s_id)
+
+    def walk(pred_row, source, target):
+        count, node = 0, target
+        while node != source:
+            parent = pred_row[node]
+            if parent < 0:
+                return count
+            count += cut_edges.get((min(parent, node), max(parent, node)), 0)
+            node = parent
+        return count
+
+    def boundary(graph, weight_row):
+        from scipy.sparse.csgraph import dijkstra
+
+        n_nodes = graph.shape[0]
+        boundary_dist = np.full(n_nodes, np.inf)
+        boundary_path = np.zeros(n_nodes, dtype=np.int64)
+        direct = {}
+        for target, c, crossing in boundary_edges:
+            w = weight_row[c]
+            if w < direct.get(target, (np.inf, 0))[0]:
+                direct[target] = (w, crossing)
+        if not direct:
+            return boundary_dist, boundary_path
+        anchors = list(direct)
+        dist_b, pred_b = dijkstra(graph, indices=anchors,
+                                  return_predecessors=True)
+        for v in range(n_nodes):
+            for k, anchor in enumerate(anchors):
+                w_anchor, crossing = direct[anchor]
+                total = dist_b[k, v] + w_anchor
+                if total < boundary_dist[v]:
+                    boundary_dist[v] = total
+                    boundary_path[v] = (crossing
+                                        + walk(pred_b[k], anchor, v)) % 2
+        return boundary_dist, boundary_path
+
+    layout = (stabs, adjacency, cut_qubits)
+    return layout, (src, dst, col), boundary
+
+
+@pytest.mark.parametrize("distance", [3, 5, 7])
+@pytest.mark.parametrize("weights", ["random", "tied"])
+def test_boundary_pass_matches_scan_oracle(distance, weights):
+    from scipy.sparse import csr_matrix
+
+    rounds = 2
+    layout, (src, dst, col), oracle = _scan_oracle(distance, rounds)
+    n_stabs = len(layout[0])
+    dg = surface._decoding_graph(*layout, rounds)
+    rng = np.random.default_rng(distance)
+    n_cols = rounds * (distance * distance + n_stabs)  # the +inf column
+    for _ in range(4):
+        if weights == "tied":  # every weight floored, as _flip_weights does
+            row = np.full(n_cols + 1, 1e-6)
+        else:
+            row = rng.uniform(0.05, 2.0, n_cols + 1)
+        row[n_cols] = np.inf
+        w = row[col]
+        graph = csr_matrix((w.tolist() * 2, (src + dst, dst + src)),
+                           shape=(dg.n_nodes, dg.n_nodes))
+        refilled = csr_matrix((row[dg.data_col], dg.indices, dg.indptr),
+                              shape=graph.shape)
+        assert np.array_equal(refilled.indices, graph.indices)
+        assert np.array_equal(refilled.indptr, graph.indptr)
+        assert np.array_equal(refilled.data, graph.data)
+        # the unreachable case: without the time edges into the last layer,
+        # that layer reaches no boundary edge
+        keep = np.array(dst) < rounds * n_stabs
+        src_k, dst_k = np.array(src)[keep], np.array(dst)[keep]
+        cut_off = csr_matrix((np.tile(w[keep], 2),
+                              (np.concatenate([src_k, dst_k]),
+                               np.concatenate([dst_k, src_k]))),
+                             shape=graph.shape)
+        for g in (graph, cut_off):
+            dist, path = surface._boundary_pass(g, row, dg)
+            want_dist, want_path = oracle(g, row)
+            assert np.array_equal(dist, want_dist)
+            assert np.array_equal(path, want_path)
+        assert np.isinf(dist[rounds * n_stabs:]).all()
+        assert np.isfinite(dist[:rounds * n_stabs]).all()
+        assert not path[rounds * n_stabs:].any()
+
+
+@pytest.mark.parametrize("distance", [3, 5, 7])
+def test_cut_is_crossed_by_boundary_edges_only(distance):
+    """decode_matching adds no cut parity for a match between two defects
+    and takes a boundary path's parity from its boundary edge: every cut
+    qubit belongs to one stabilizer, so no graph edge crosses the cut."""
+    stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
+    assert len(cut_qubits) == distance
+    assert all(len(adjacency[q]) == 1 for q in cut_qubits)
