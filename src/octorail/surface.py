@@ -675,18 +675,6 @@ def gkp_bin(value: float):
     return n % 2, value - n * SQRT_PI
 
 
-@dataclass(frozen=True)
-class SyndromeRecord:
-    round: int
-    stabilizer_id: int
-    parity_bit: int
-    analog_residual: float
-
-    def __post_init__(self):
-        if not -SQRT_PI / 2 <= self.analog_residual < SQRT_PI / 2:
-            raise ValueError("residual outside the fundamental cell")
-
-
 # --------------------------------------------------------------------------
 # memory experiment
 # --------------------------------------------------------------------------
@@ -734,83 +722,185 @@ def _flip_weights(residuals: np.ndarray, sigma: float) -> np.ndarray:
     return np.maximum(w, 1e-6)
 
 
-def _min_weight_pairing(weight_matrix):
-    """Exact minimum-weight perfect matching on an even number of nodes,
-    given a dense symmetric weight matrix; returns the set of index pairs."""
+#: Components of more defects than this go to a blossom instead of the
+#: bitmask DP, whose state count grows as 2^size on dense components.  On
+#: the components of memory runs at 7-11 dB the two solvers' mean times
+#: cross at 22-23 defects.
+_DP_CAP = 22
+
+
+def _component_dp(bd, up):
+    """Exact minimum-weight assignment of one component: a DP over the set
+    of unmatched defects, memoised by bitmask, in which the first unmatched
+    defect, in the order chosen below, goes to the boundary or to a kept
+    partner.
+
+    ``bd[i]`` is defect i's boundary distance and ``up[i]`` lists its kept
+    partners ``(j, distance)`` with j > i.  Returns (i, j) pairs, i < j, with
+    j = None for a boundary match.
+
+    The DP's states are the sets of defects taken from the frontier: the
+    unordered defects that have an ordered partner.  So the defects are
+    ordered first to keep the frontier small: each next one is a frontier
+    defect, if any, that adds the fewest new defects to it (ties to the
+    lowest index).
+    """
+    partners = [set() for _ in bd]
+    for i, row in enumerate(up):
+        for j, _ in row:
+            partners[i].add(j)
+            partners[j].add(i)
+    order, seen, unordered = [], set(), set(range(len(bd)))
+    while unordered:
+        v = min(unordered, key=lambda u: (u not in seen,
+                                          len(partners[u] - seen), u))
+        order.append(v)
+        unordered.remove(v)
+        seen |= partners[v]
+        seen.add(v)
+    rank = {v: r for r, v in enumerate(order)}
+    kept = [[] for _ in bd]  # by rank: (bit of the later partner, distance)
+    for i, row in enumerate(up):
+        for j, w in row:
+            low, high = sorted((rank[i], rank[j]))
+            kept[low].append((1 << high, w))
+    bd = [bd[v] for v in order]
+    cost = {0: 0.0}
+    pick = {}  # mask -> the lowest defect's partner bit, 0 for the boundary
+
+    def best(mask):
+        got = cost.get(mask)
+        if got is None:
+            low = mask & -mask
+            rest = mask ^ low
+            i = low.bit_length() - 1
+            got, choice = bd[i] + best(rest), 0
+            for bit, w in kept[i]:
+                if rest & bit:
+                    c = w + best(rest ^ bit)
+                    if c < got:
+                        got, choice = c, bit
+            cost[mask], pick[mask] = got, choice
+        return got
+
+    mask = (1 << len(bd)) - 1
+    if best(mask) == math.inf:
+        raise ValueError("a defect can reach neither the boundary nor a "
+                         "partner")
+    matches = []
+    while mask:
+        low, bit = mask & -mask, pick[mask]
+        i = order[low.bit_length() - 1]
+        j = order[bit.bit_length() - 1] if bit else None
+        matches.append((i, j) if j is None or i < j else (j, i))
+        mask ^= low | bit
+    return matches
+
+
+def _component_blossom(bd, up):
+    """The same assignment as ``_component_dp``, by a blossom on the
+    component's sparse twin graph: defect i joins its boundary twin t_i at
+    ``bd[i]``, and each kept pair joins both its defects at their distance
+    and their twins at 0.  A perfect matching of that graph is an
+    assignment of the same weight, and back."""
     import networkx as nx
 
-    n = len(weight_matrix)
-    if n % 2:
-        raise ValueError("perfect matching needs an even node count")
-    if n == 0:
-        return set()
-    if n <= 12:
-        return _exhaustive_pairing(weight_matrix)
+    m = len(bd)
+    edges = [(i, m + i, bd[i]) for i in range(m) if bd[i] < math.inf]
+    for i, partners in enumerate(up):
+        for j, w in partners:
+            edges += (i, j, w), (m + i, m + j, 0.0)
     graph = nx.Graph()
-    graph.add_weighted_edges_from((i, j, weight_matrix[i][j])
-                                  for i in range(n) for j in range(i + 1, n))
-    return {tuple(sorted(e)) for e in
-            nx.min_weight_matching(graph)}
+    # defects before twins: in this node order networkx matches about a
+    # sixth faster than with each twin next to its defect
+    graph.add_nodes_from(range(2 * m))
+    graph.add_weighted_edges_from(edges)
+    matches = []
+    for pair in nx.min_weight_matching(graph):
+        i, j = sorted(pair)
+        if i < m:
+            matches.append((i, None if j >= m else j))
+    if sum(1 if j is None else 2 for _, j in matches) < m:
+        raise ValueError("a defect can reach neither the boundary nor a "
+                         "partner")
+    return sorted(matches)
 
 
-def _exhaustive_pairing(weight_matrix):
-    n = len(weight_matrix)
-    best = [math.inf, None]
+def _pair_defects(dist, bd):
+    """Exact minimum-weight assignment of defects to one another or to the
+    boundary, from their distances ``dist`` (upper triangle read) and
+    boundary distances ``bd``.  Returns (i, j) pairs, j = None for the
+    boundary.
 
-    def recurse(remaining, total, pairs):
-        if total >= best[0]:
-            return
-        if not remaining:
-            best[0], best[1] = total, list(pairs)
-            return
-        first = remaining[0]
-        for k, other in enumerate(remaining[1:], start=1):
-            pairs.append((first, other))
-            recurse(remaining[1:k] + remaining[k + 1:],
-                    total + weight_matrix[first][other], pairs)
-            pairs.pop()
+    A pair whose distance is not below the sum of its boundary distances
+    can be split into two boundary matches at no cost, so only the other
+    pairs are kept.  Each connected component of the kept pairs is then an
+    independent problem (Fowler 2013; Higgott & Gidney, "Sparse Blossom",
+    2023), solved by ``_component_dp``, or above ``_DP_CAP`` defects by
+    ``_component_blossom``.
+    """
+    kept_a, kept_b = np.nonzero(np.triu(dist < bd[:, None] + bd, 1))
+    kept = list(zip(kept_a.tolist(), kept_b.tolist(),
+                    dist[kept_a, kept_b].tolist()))
+    root = list(range(len(bd)))
 
-    recurse(list(range(n)), 0.0, [])
-    return {tuple(sorted(p)) for p in best[1]}
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b, _ in kept:
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+    members = {}
+    for v in range(len(bd)):
+        members.setdefault(find(v), []).append(v)
+    local = {v: i for nodes in members.values() for i, v in enumerate(nodes)}
+    up = {r: [[] for _ in nodes] for r, nodes in members.items()}
+    for a, b, w in kept:  # row-major, so each list is in partner order
+        up[find(a)][local[a]].append((local[b], w))
+    bd = bd.tolist()
+    matches = []
+    for r, nodes in members.items():
+        solve = _component_dp if len(nodes) <= _DP_CAP else _component_blossom
+        for i, j in solve([bd[v] for v in nodes], up[r]):
+            matches.append((nodes[i], None if j is None else nodes[j]))
+    return matches
 
 
-def decode_matching(defects, graph, boundary_dist, boundary_path):
+def decode_matching(defects, graph, sink_parity):
     """Minimum-weight matching of space-time defects.
 
-    ``defects`` lists node ids of the space-time graph; ``graph`` is a
-    scipy-ready sparse adjacency (weights); ``boundary_dist[v]`` and
-    ``boundary_path[v]`` give each node's cheapest connection to the open
-    boundary and that path's logical-cut crossing parity.  Returns
+    ``defects`` lists node ids of the space-time graph; ``graph`` is its
+    scipy-ready sparse directed adjacency (weights), whose last node is the
+    open boundary: a sink that every boundary anchor enters by its lightest
+    boundary edge and that no edge leaves.  ``sink_parity[v]`` is the
+    logical-cut crossing bit of anchor v's edge into the sink.  Returns
     (matched pairs, total cut-crossing parity of the correction).
 
-    The cut runs along the open boundary (see ``_rotated_layout``): every
-    cut qubit belongs to one stabilizer and so is a boundary edge, never a
-    graph edge.  A path between two defects therefore never crosses it,
-    and only boundary matches add to the parity.
+    One Dijkstra from the defects gives their mutual distances, their
+    distances to the sink and, through the sink's predecessor, the anchor of
+    each boundary path.  The cut runs along the open boundary (see
+    ``_rotated_layout``): every cut qubit belongs to one stabilizer and so
+    is a boundary edge, never a graph edge.  A path between two defects
+    therefore never crosses it, and only boundary matches add to the
+    parity.  Each defect matches another defect or the boundary, with the
+    least total weight (``_pair_defects``; the single boundary node is that
+    of Dennis et al., "Topological quantum memory", 2002); ``ValueError`` if
+    some defect can reach neither.
     """
     from scipy.sparse.csgraph import dijkstra
 
     if not defects:
         return [], 0
-    dist = dijkstra(graph, indices=defects)
-    k = len(defects)
-    big = 1e12
-    # defects 0..k-1, then one boundary twin per defect; each defect reaches
-    # only its own twin, and the twins pair freely at zero cost.  The
-    # pairing reads the upper triangle only.
-    weights = np.zeros((2 * k, 2 * k))
-    weights[:k, :k] = np.minimum(dist[:, defects], big)
-    twins = weights[:k, k:]
-    twins[...] = big
-    twins.flat[::k + 1] = boundary_dist[defects]
-    pairs = _min_weight_pairing(weights.tolist())
+    sink = graph.shape[0] - 1
+    dist, pred = dijkstra(graph, directed=True, indices=defects,
+                          return_predecessors=True)
     crossings = 0
     matched = []
-    for a, b in pairs:  # each pair is sorted, a < b
-        if a >= k:
-            continue
-        if b >= k:  # defect a matched to the boundary
-            crossings ^= int(boundary_path[defects[a]])
+    for a, b in _pair_defects(dist[:, defects], dist[:, sink]):
+        if b is None:
+            crossings ^= int(sink_parity[pred[a, sink]])
             matched.append((defects[a], "boundary"))
         else:
             matched.append((defects[a], defects[b]))
@@ -851,14 +941,16 @@ _BLOCK_TRIALS = 256
 class _DecodingGraph:
     """Static structure of the space-time matching graph.
 
-    Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``.  A
-    trial supplies its edge weights as one row: the flip weight of every
-    (round, qubit), then of every (round, stabilizer readout), then +inf.
+    Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``; the
+    last node is the open boundary, a sink.  A trial supplies its edge
+    weights as one row: the flip weight of every (round, qubit), then of
+    every (round, stabilizer readout), then +inf.
     """
-    n_nodes: int
-    indices: np.ndarray  # CSR structure of the symmetric adjacency
+    n_nodes: int  # the sink included
+    indices: np.ndarray  # CSR structure of the directed adjacency
     indptr: np.ndarray
-    data_col: np.ndarray  # weight-row column of each CSR entry
+    data_col: np.ndarray  # column of each CSR entry in the weight row
+    # extended by one sink-edge weight per anchor
     anchor_node: np.ndarray  # nodes with edges to the open boundary
     anchor_col: np.ndarray  # their boundary edges' weight columns, in scan
     # order, padded with the +inf column
@@ -870,7 +962,7 @@ def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
 
     n_stabs = len(stabs)
     n_qubits = len(adjacency)
-    n_nodes = (rounds + 1) * n_stabs
+    sink = (rounds + 1) * n_stabs
     src, dst, col = [], [], []
     boundary = {}  # anchor node -> [(weight column, crossing)]
     for layer in range(rounds):  # space edges exist on noisy layers only
@@ -888,49 +980,46 @@ def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
             src.append(base + s_id)
             dst.append(base + n_stabs + s_id)
             col.append(rounds * n_qubits + base + s_id)
-    # no two edges join the same nodes, so each CSR entry holds one slot
-    n_edges = len(col)
-    slots = csr_matrix((np.arange(1.0, 2 * n_edges + 1),
-                        (np.array(src + dst), np.array(dst + src))),
-                       shape=(n_nodes, n_nodes))
-    data_col = np.array(col + col)[slots.data.astype(np.intp) - 1]
-
     pad_col = rounds * (n_qubits + n_stabs)
+    anchors = list(boundary)
+    # graph edges run both ways, sink edges into the sink only; no two
+    # entries join the same nodes, so each CSR entry holds one slot
+    heads = np.array(src + dst + anchors)
+    tails = np.array(dst + src + [sink] * len(anchors))
+    slots = csr_matrix((np.arange(1.0, len(heads) + 1), (heads, tails)),
+                       shape=(sink + 1, sink + 1))
+    data_col = np.array(col + col + list(range(pad_col + 1,
+                                               pad_col + 1 + len(anchors))))
+    data_col = data_col[slots.data.astype(np.intp) - 1]
+
     width = max(len(edges) for edges in boundary.values())
-    anchor_col = np.full((len(boundary), width), pad_col)
-    anchor_crossing = np.zeros((len(boundary), width), dtype=bool)
+    anchor_col = np.full((len(anchors), width), pad_col)
+    anchor_crossing = np.zeros((len(anchors), width), dtype=bool)
     for i, edges in enumerate(boundary.values()):
         anchor_col[i, :len(edges)], anchor_crossing[i, :len(edges)] = zip(
             *edges)
-    return _DecodingGraph(n_nodes, slots.indices, slots.indptr,
-                          data_col, np.array(list(boundary)), anchor_col,
-                          anchor_crossing)
+    return _DecodingGraph(sink + 1, slots.indices, slots.indptr, data_col,
+                          np.array(anchors), anchor_col, anchor_crossing)
 
 
-def _boundary_pass(graph, weight_row, dg: _DecodingGraph):
-    """Each node's cheapest connection to the open boundary and that path's
-    cut-crossing parity: (boundary_dist, boundary_path), +inf and 0 where
-    no anchor is reachable.
+def _trial_graph(weight_row, dg: _DecodingGraph):
+    """A trial's sparse directed graph and each node's sink-edge crossing
+    bit (0 off the anchors), for ``decode_matching``.
 
-    An anchor's boundary edge is its lightest candidate.  Ties go to the
-    first candidate in scan order and to the first anchor, as in a scan
-    that keeps a value only when it is strictly lower.  Flip weights are
-    finite on any trial that has defects: a NaN weight needs a residual
-    beyond ~38 sigma, and at so small a sigma no shift reaches sqrt(pi)/2.
+    An anchor enters the sink by its lightest boundary candidate, the first
+    in scan order under ties.
     """
-    from scipy.sparse.csgraph import dijkstra
+    from scipy.sparse import csr_matrix
 
     cand = weight_row[dg.anchor_col]
     best = cand.argmin(axis=1)  # argmin returns the first minimum
-    total = (dijkstra(graph, indices=dg.anchor_node)
-             + cand.min(axis=1)[:, None])
-    k = total.argmin(axis=0)
-    boundary_dist = total[k, np.arange(dg.n_nodes)]
-    # no graph edge crosses the cut (see decode_matching): the path's parity
-    # is that of its boundary edge
-    boundary_path = np.where(boundary_dist < np.inf,
-                             dg.anchor_crossing[k, best[k]], 0)
-    return boundary_dist, boundary_path
+    rows = np.arange(len(best))
+    data = np.concatenate([weight_row, cand[rows, best]])[dg.data_col]
+    graph = csr_matrix((data, dg.indices, dg.indptr),
+                       shape=(dg.n_nodes, dg.n_nodes))
+    sink_parity = np.zeros(dg.n_nodes, dtype=bool)
+    sink_parity[dg.anchor_node] = dg.anchor_crossing[rows, best]
+    return graph, sink_parity
 
 
 def _bin(shifts):
@@ -963,7 +1052,6 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     if not (math.isfinite(squeezing_db) and squeezing_db > 0):
         raise ValueError(f"squeezing_db must be a finite level above 0 dB, "
                          f"got {squeezing_db}")
-    from scipy.sparse import csr_matrix
 
     delta_sq = 10 ** (-squeezing_db / 10)
     sigma = math.sqrt(2 * (delta_sq / 2) * 2)   # two hops per round
@@ -1007,13 +1095,9 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
             weight_row = np.concatenate(
                 [_flip_weights(resid[trial], sigma),
                  _flip_weights(m_resid[trial], sigma_m), [np.inf]])
-            graph = csr_matrix((weight_row[dg.data_col], dg.indices,
-                                dg.indptr), shape=(dg.n_nodes, dg.n_nodes))
-            boundary_dist, boundary_path = _boundary_pass(graph, weight_row,
-                                                          dg)
             defects = np.flatnonzero(defect_grid[trial]).tolist()
             _, correction_parity = decode_matching(
-                defects, graph, boundary_dist, boundary_path)
+                defects, *_trial_graph(weight_row, dg))
             failures += int(true_parity[trial]) ^ correction_parity
 
     rate = failures / trials

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from octorail import surface
 from octorail.exact import HALF_SQRT2, ZERO, ExactCoeff
@@ -326,24 +326,24 @@ def test_memory_experiment_validates_arguments():
 
 
 # Seeded failures of memory_experiment(d, dB, rounds, 240, seed), recorded
-# on the per-trial implementation that preceded block sampling.
+# with the exact sparse matcher on the boundary sink.
 _PINNED_FAILURES = {
     (3, 7.0, 1): (137, 51),
-    (3, 7.0, 3): (337, 114),
+    (3, 7.0, 3): (337, 106),
     (3, 11.0, 1): (141, 2),
-    (3, 11.0, 3): (341, 8),
+    (3, 11.0, 3): (341, 6),
     (3, 13.0, 1): (143, 0),
     (3, 13.0, 3): (343, 2),
-    (5, 7.0, 1): (157, 72),
-    (5, 7.0, 3): (357, 126),
+    (5, 7.0, 1): (157, 74),
+    (5, 7.0, 3): (357, 112),
     (5, 11.0, 1): (161, 0),
-    (5, 11.0, 3): (361, 13),
+    (5, 11.0, 3): (361, 4),
     (5, 13.0, 1): (163, 0),
     (5, 13.0, 3): (363, 0),
-    (7, 7.0, 1): (177, 101),
-    (7, 7.0, 3): (377, 121),
-    (7, 11.0, 1): (181, 4),
-    (7, 11.0, 3): (381, 42),
+    (7, 7.0, 1): (177, 81),
+    (7, 7.0, 3): (377, 113),
+    (7, 11.0, 1): (181, 0),
+    (7, 11.0, 3): (381, 5),
     (7, 13.0, 1): (183, 0),
     (7, 13.0, 3): (383, 0),
 }
@@ -352,12 +352,16 @@ _PINNED_FAILURES = {
 @pytest.mark.parametrize("key", sorted(_PINNED_FAILURES),
                          ids=lambda k: f"d{k[0]}-{k[1]:g}dB-r{k[2]}")
 def test_memory_experiment_pinned_seeded_results(key):
-    """Block sampling and the array boundary pass reproduce the seeded
-    results of the per-trial implementation bit for bit.
+    """Seeded results stay fixed, bit for bit.
 
-    The values embed the ``_flip_weights`` fault: its two slices are named
-    the wrong way round, so every matching weight is floored to 1e-6.  They
-    must move, and be recorded again, when that fault is fixed.
+    The values were recorded again when the blossom on the dense twin
+    matrix, whose 1e12 boundary weights swallowed the path lengths, gave way
+    to the exact matcher; on every decoded trial of these cases the new
+    matching is no heavier than the old.  They still embed the
+    ``_flip_weights`` fault: its two slices are named the wrong way round,
+    so every matching weight is floored to 1e-6 and ties, broken by the
+    matcher, are everywhere.  They must move, and be recorded again, when
+    that fault is fixed.
     """
     distance, db, rounds = key
     seed, failures = _PINNED_FAILURES[key]
@@ -378,8 +382,9 @@ def test_memory_experiment_stream_is_continuous_across_blocks(monkeypatch):
 def _scan_oracle(distance, rounds):
     """Edge lists of the space-time graph and the boundary scan as the
     per-node loops computed it (anchors x nodes with a strict '<', and a
-    predecessor walk for the cut parity): the array boundary pass must
-    reproduce it exactly."""
+    predecessor walk for the cut parity): the sink's distances must
+    reproduce it exactly.  The scan also returns, for each node, the cut
+    parities of every anchor that ties for its minimum."""
     stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
     n_stabs, n_qubits = len(stabs), distance * distance
     src, dst, col = [], [], []
@@ -421,13 +426,14 @@ def _scan_oracle(distance, rounds):
         n_nodes = graph.shape[0]
         boundary_dist = np.full(n_nodes, np.inf)
         boundary_path = np.zeros(n_nodes, dtype=np.int64)
+        tied = [set() for _ in range(n_nodes)]
         direct = {}
         for target, c, crossing in boundary_edges:
             w = weight_row[c]
             if w < direct.get(target, (np.inf, 0))[0]:
                 direct[target] = (w, crossing)
         if not direct:
-            return boundary_dist, boundary_path
+            return boundary_dist, boundary_path, tied
         anchors = list(direct)
         dist_b, pred_b = dijkstra(graph, indices=anchors,
                                   return_predecessors=True)
@@ -435,57 +441,295 @@ def _scan_oracle(distance, rounds):
             for k, anchor in enumerate(anchors):
                 w_anchor, crossing = direct[anchor]
                 total = dist_b[k, v] + w_anchor
+                parity = (crossing + walk(pred_b[k], anchor, v)) % 2
                 if total < boundary_dist[v]:
                     boundary_dist[v] = total
-                    boundary_path[v] = (crossing
-                                        + walk(pred_b[k], anchor, v)) % 2
-        return boundary_dist, boundary_path
+                    boundary_path[v] = parity
+                    tied[v] = set()
+                if total == boundary_dist[v] < np.inf:
+                    tied[v].add(parity)
+        return boundary_dist, boundary_path, tied
 
     layout = (stabs, adjacency, cut_qubits)
-    return layout, (src, dst, col), boundary
+    return layout, (src, dst, col, boundary_edges), boundary
+
+
+def _weight_rows(distance, rounds, weights, rng, count=4):
+    """Trial weight rows: random multiples of 2^-12 in [0.05, 2), or every
+    weight floored to 1e-6 as _flip_weights floors them; the last column
+    is +inf.  Every path sum of either kind is exact in floating point, so a
+    distance does not depend on the direction it is summed in."""
+    n_stabs = len(surface._rotated_layout(distance)[0])
+    n_cols = rounds * (distance * distance + n_stabs)
+    for _ in range(count):
+        if weights == "tied":
+            row = np.full(n_cols + 1, 1e-6)
+        else:
+            row = rng.integers(205, 8192, n_cols + 1) / 4096
+        row[n_cols] = np.inf
+        yield row
+
+
+def _sink_graph(edges, row, n_nodes, keep=None):
+    """The directed graph with the sink, built afresh from edge lists:
+    graph edges both ways, each anchor into the sink by its lightest
+    boundary edge.  ``keep`` masks the graph edges."""
+    from scipy.sparse import csr_matrix
+
+    src, dst, col, boundary_edges = edges
+    src, dst, w = np.array(src), np.array(dst), row[col]
+    if keep is not None:
+        src, dst, w = src[keep], dst[keep], w[keep]
+    anchor_w = {}
+    for anchor, c, _ in boundary_edges:
+        anchor_w[anchor] = min(anchor_w.get(anchor, np.inf), row[c])
+    sink = n_nodes - 1
+    heads = np.concatenate([src, dst, list(anchor_w)]).astype(int)
+    tails = np.concatenate([dst, src, [sink] * len(anchor_w)]).astype(int)
+    data = np.concatenate([w, w, list(anchor_w.values())])
+    return csr_matrix((data, (heads, tails)), shape=(n_nodes, n_nodes))
 
 
 @pytest.mark.parametrize("distance", [3, 5, 7])
 @pytest.mark.parametrize("weights", ["random", "tied"])
 def test_boundary_pass_matches_scan_oracle(distance, weights):
-    from scipy.sparse import csr_matrix
+    """The boundary pass is the sink column of decode_matching's one
+    Dijkstra: each node's distance to the sink is the scan's boundary
+    distance exactly, and the sink's predecessor names the anchor whose
+    boundary edge gives the cut parity.  Dijkstra's predecessor, not a
+    first-anchor scan, breaks ties, so under ties the parity must be that
+    of one of the tied minimising anchors."""
+    from scipy.sparse.csgraph import dijkstra
 
     rounds = 2
-    layout, (src, dst, col), oracle = _scan_oracle(distance, rounds)
+    layout, edges, oracle = _scan_oracle(distance, rounds)
     n_stabs = len(layout[0])
     dg = surface._decoding_graph(*layout, rounds)
-    rng = np.random.default_rng(distance)
-    n_cols = rounds * (distance * distance + n_stabs)  # the +inf column
-    for _ in range(4):
-        if weights == "tied":  # every weight floored, as _flip_weights does
-            row = np.full(n_cols + 1, 1e-6)
-        else:
-            row = rng.uniform(0.05, 2.0, n_cols + 1)
-        row[n_cols] = np.inf
-        w = row[col]
-        graph = csr_matrix((w.tolist() * 2, (src + dst, dst + src)),
-                           shape=(dg.n_nodes, dg.n_nodes))
-        refilled = csr_matrix((row[dg.data_col], dg.indices, dg.indptr),
-                              shape=graph.shape)
-        assert np.array_equal(refilled.indices, graph.indices)
-        assert np.array_equal(refilled.indptr, graph.indptr)
-        assert np.array_equal(refilled.data, graph.data)
+    sink = dg.n_nodes - 1
+    assert sink == (rounds + 1) * n_stabs
+    for row in _weight_rows(distance, rounds, weights,
+                            np.random.default_rng(distance)):
+        graph, sink_parity = surface._trial_graph(row, dg)
+        fresh = _sink_graph(edges, row, dg.n_nodes)
+        assert np.array_equal(graph.indices, fresh.indices)
+        assert np.array_equal(graph.indptr, fresh.indptr)
+        assert np.array_equal(graph.data, fresh.data)
+        assert not graph[sink].nnz  # the sink is a sink only
         # the unreachable case: without the time edges into the last layer,
         # that layer reaches no boundary edge
-        keep = np.array(dst) < rounds * n_stabs
-        src_k, dst_k = np.array(src)[keep], np.array(dst)[keep]
-        cut_off = csr_matrix((np.tile(w[keep], 2),
-                              (np.concatenate([src_k, dst_k]),
-                               np.concatenate([dst_k, src_k]))),
-                             shape=graph.shape)
+        keep = np.array(edges[1]) < rounds * n_stabs
+        cut_off = _sink_graph(edges, row, dg.n_nodes, keep)
         for g in (graph, cut_off):
-            dist, path = surface._boundary_pass(g, row, dg)
-            want_dist, want_path = oracle(g, row)
-            assert np.array_equal(dist, want_dist)
-            assert np.array_equal(path, want_path)
-        assert np.isinf(dist[rounds * n_stabs:]).all()
-        assert np.isfinite(dist[:rounds * n_stabs]).all()
-        assert not path[rounds * n_stabs:].any()
+            dist, pred = dijkstra(g, directed=True, indices=range(sink),
+                                  return_predecessors=True)
+            bd = dist[:, sink]
+            want_dist, want_path, tied = oracle(g[:sink, :sink], row)
+            assert np.array_equal(bd, want_dist[:sink])
+            parity = np.array([sink_parity[p] if p >= 0 else 0
+                               for p in pred[:, sink]])
+            if weights == "random":
+                assert all(len(t) == 1 for t in tied[:rounds * n_stabs])
+                assert np.array_equal(parity, want_path[:sink])
+            for v in range(sink):
+                assert (parity[v] in tied[v]) if bd[v] < np.inf else (
+                    pred[v, sink] < 0)
+        assert np.isinf(bd[rounds * n_stabs:]).all()
+        assert np.isfinite(bd[:rounds * n_stabs]).all()
+
+
+def _weight(dist, bd, matches):
+    return sum(bd[a] if b is None else dist[min(a, b), max(a, b)]
+               for a, b in matches)
+
+
+def _exhaustive_optimum(dist, bd):
+    """Least total weight over every assignment of each defect to the
+    boundary or to one partner, by plain enumeration."""
+    def best(rest):
+        if not rest:
+            return 0.0
+        first, rest = rest[0], rest[1:]
+        options = [bd[first] + best(rest)]
+        options += [dist[first, other] + best(rest[:k] + rest[k + 1:])
+                    for k, other in enumerate(rest)]
+        return min(options)
+
+    return best(tuple(range(len(bd))))
+
+
+_half_units = st.integers(1, 8).map(lambda n: n / 2)
+
+
+@st.composite
+def _matching_instances(draw):
+    """Up to ten defects with weights on a half-integer grid, so that tied
+    weights and distances equal to boundary sums are common and every sum
+    is exact; boundary and pair distances may be +inf."""
+    k = draw(st.integers(1, 10))
+    bd = np.array(draw(st.lists(_half_units | st.just(math.inf),
+                                min_size=k, max_size=k)))
+    dist = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            dist[a, b] = dist[b, a] = draw(_half_units | st.just(math.inf))
+    return dist, bd
+
+
+@settings(deadline=None)  # enumeration at ten defects is slow
+@given(_matching_instances())
+def test_component_dp_matches_exhaustive_enumeration(instance):
+    dist, bd = instance
+    want = _exhaustive_optimum(dist, bd)
+    if want == math.inf:
+        with pytest.raises(ValueError):
+            surface._pair_defects(dist, bd)
+        return
+    matches = surface._pair_defects(dist, bd)
+    assert sorted(v for m in matches for v in m if v is not None) == list(
+        range(len(bd)))
+    assert _weight(dist, bd, matches) == want
+
+
+def _components(dist, bd):
+    """The (bd, up) problems that _pair_defects hands to its solvers."""
+    seen = []
+    solve = surface._component_dp
+
+    def spy(bd, up):
+        seen.append((bd, up))
+        return solve(bd, up)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_component_dp", spy)
+        mp.setattr(surface, "_component_blossom", spy)
+        surface._pair_defects(dist, bd)
+    return seen
+
+
+@settings(deadline=None)  # the first blossom imports networkx
+@given(_matching_instances())
+def test_cap_path_matches_dp_on_the_same_components(instance):
+    dist, bd = instance
+    if _exhaustive_optimum(dist, bd) == math.inf:
+        return
+    for comp_bd, up in _components(dist, bd):
+        dp = surface._component_dp(comp_bd, up)
+        blossom = surface._component_blossom(comp_bd, up)
+        flat = {(i, j): w for i, partners in enumerate(up)
+                for j, w in partners}
+
+        def weigh(matches):
+            return sum(comp_bd[i] if j is None else flat[i, j]
+                       for i, j in matches)
+
+        assert weigh(blossom) == weigh(dp)
+
+
+def _decoded_trials(distance, db, rounds, count, seed):
+    """(defects, graph, sink parities) of the first decoded trials of a
+    memory experiment, drawn as memory_experiment draws them."""
+    calls = []
+    real = surface.decode_matching
+
+    def record(defects, graph, sink_parity):
+        calls.append((defects, graph, sink_parity))
+        return real(defects, graph, sink_parity)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "decode_matching", record)
+        surface.memory_experiment(distance, db, rounds, count, seed)
+    return calls
+
+
+def test_cap_path_decodes_as_the_dp_does(monkeypatch):
+    """With the cap at 4, every larger component goes to the blossom; its
+    matchings weigh what the DP's do on the same trials."""
+    from scipy.sparse.csgraph import dijkstra
+
+    trials = _decoded_trials(5, 8.0, 3, 60, 4)
+    want = []
+    for defects, graph, _ in trials:
+        dist = dijkstra(graph, directed=True, indices=defects)
+        d, b = dist[:, defects], dist[:, -1]
+        want.append((d, b, _weight(d, b, surface._pair_defects(d, b))))
+    blossoms = []
+    real = surface._component_blossom
+
+    def blossom(bd, up):
+        blossoms.append(len(bd))
+        return real(bd, up)
+
+    monkeypatch.setattr(surface, "_DP_CAP", 4)
+    monkeypatch.setattr(surface, "_component_blossom", blossom)
+    for d, b, weight in want:
+        assert _weight(d, b, surface._pair_defects(d, b)) == pytest.approx(
+            weight, rel=1e-12, abs=0)
+    assert len(blossoms) > 20 and min(blossoms) == 5
+
+
+@pytest.mark.parametrize("cap", [surface._DP_CAP, 0],
+                         ids=["dp", "blossom"])
+def test_unmatched_defect_raises(monkeypatch, cap):
+    """A defect that reaches neither the boundary nor a partner leaves its
+    component without a finite optimum; both solvers raise instead of
+    matching it through a stand-in weight."""
+    monkeypatch.setattr(surface, "_DP_CAP", cap)
+    rounds, distance = 2, 3
+    layout, edges, _ = _scan_oracle(distance, rounds)
+    n_stabs = len(layout[0])
+    dg = surface._decoding_graph(*layout, rounds)
+    row = next(_weight_rows(distance, rounds, "random",
+                            np.random.default_rng(0), 1))
+    keep = np.array(edges[1]) < rounds * n_stabs
+    cut_off = _sink_graph(edges, row, dg.n_nodes, keep)
+    sink_parity = surface._trial_graph(row, dg)[1]
+    last = rounds * n_stabs
+    assert surface.decode_matching([0, 1], cut_off, sink_parity)[0]
+    for defects in ([0, last], [last, last + 1], [0, 1, last + 2]):
+        with pytest.raises(ValueError, match="neither the boundary"):
+            surface.decode_matching(defects, cut_off, sink_parity)
+
+
+@pytest.mark.parametrize("weights", ["random", "tied"])
+def test_decoder_matches_brute_force_correction(weights):
+    """At d = 3 with one round, the decoder's correction weighs the least
+    of every subset of graph and boundary edges that reproduces the
+    syndrome, and its cut parity is that of one such lightest subset."""
+    from scipy.sparse.csgraph import dijkstra
+
+    distance, rounds = 3, 1
+    layout, edges, _ = _scan_oracle(distance, rounds)
+    src, dst, col, boundary_edges = edges
+    dg = surface._decoding_graph(*layout, rounds)
+    n_nodes = dg.n_nodes - 1  # without the sink
+    cut_qubits = layout[2]
+    # every edge as (node set, weight column, crossing bit)
+    all_edges = [((a, b), c, 0) for a, b, c in zip(src, dst, col)]
+    all_edges += [((a,), c, x) for a, c, x in boundary_edges]
+    assert len(all_edges) == 13 and len(cut_qubits) == 3
+    incidence = np.zeros((len(all_edges), n_nodes), dtype=np.int64)
+    for e, (nodes, _, _) in enumerate(all_edges):
+        incidence[e, list(nodes)] = 1
+    subsets = (np.arange(2 ** len(all_edges))[:, None]
+               >> np.arange(len(all_edges))) & 1
+    syndrome = (subsets @ incidence % 2) @ (1 << np.arange(n_nodes))
+    crossing = subsets @ np.array([x for _, _, x in all_edges]) % 2
+    for row in _weight_rows(distance, rounds, weights,
+                            np.random.default_rng(11)):
+        weight = subsets @ row[[c for _, c, _ in all_edges]]
+        graph, sink_parity = surface._trial_graph(row, dg)
+        dist = dijkstra(graph, directed=True)
+        for pattern in range(1, 2 ** n_nodes):
+            defects = [v for v in range(n_nodes) if pattern >> v & 1]
+            matched, parity = surface.decode_matching(defects, graph,
+                                                      sink_parity)
+            got = sum(dist[a, -1] if b == "boundary"
+                      else dist[min(a, b), max(a, b)] for a, b in matched)
+            hits = syndrome == pattern
+            least = weight[hits].min()
+            assert got == pytest.approx(least, rel=1e-12, abs=0)
+            lightest = hits & np.isclose(weight, least, rtol=1e-12, atol=0)
+            assert parity in set(crossing[lightest].tolist())
 
 
 @pytest.mark.parametrize("distance", [3, 5, 7])
