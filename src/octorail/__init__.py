@@ -10,7 +10,7 @@ from .gates import (FOURIER, AngleSolution, DegenerateMeasurementError,
 from .gkp import (Encoding, Grid, GridWavefunction, LogicalAction,
                   MagicProbeResult, SqueezingLevel, custom_encoding,
                   db_conversion, decompose_rpr, default_grid,
-                  encoding_unitary, fidelity, fine_grid,
+                  fidelity, fine_grid,
                   fourier_wavefunction, heterodyne_magic_probe,
                   hexagonal_encoding, knill_oracle, knill_step,
                   logical_action, magic_probe_single,

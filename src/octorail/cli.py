@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -180,11 +179,10 @@ def run_verification_suites(inject_fault=None):
                        "detail": "exact"})
 
     # stabilizer combinations by exact row arithmetic
-    inv_sqrt2 = surface.ExactCoeff(0, Fraction(1, 2))
     for kind, slots in _STABILIZER_EXPECTED.items():
         combos = surface.stabilizer_combination(kind)
         for idx, ((_, inputs), support) in enumerate(zip(combos, slots)):
-            want = [inv_sqrt2 if j in support else surface.ExactCoeff(0)
+            want = [surface.HALF_SQRT2 if j in support else surface.ZERO
                     for j in range(8)]
             ok = list(inputs) == want
             report.append({"name": f"stabilizer combination {kind} #{idx + 1}",

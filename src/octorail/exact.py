@@ -4,28 +4,56 @@ Splitter-network transfer matrices, stabilizer row combinations and the
 teleported-gate constraint solver all live in Z[1/2, sqrt(2)], so identities
 that the rest of the package asserts "exactly" are checked with these types
 instead of floats.
+
+An element is held as three Python integers (p, q, d) with value
+(p + q*sqrt2)/d, in the normal form d > 0 and gcd(p, q, d) = 1.  The normal
+form is unique, so equality is three integer compares, and every field
+operation is integer arithmetic followed by one gcd.  The denominator is
+general, not a power of two: elimination divides by norms p^2 - 2q^2 such
+as 3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _SQRT2 = 2 ** 0.5
 
 
-class ExactCoeff:
-    """Element a + b*sqrt(2) with rational a, b.
+def _new(p, q, d):
+    """ExactCoeff (p + q*sqrt2)/d for integers p, q and d > 0, reduced."""
+    g = gcd(p, q, d)
+    c = object.__new__(ExactCoeff)
+    c.p, c.q, c.d = p // g, q // g, d // g
+    return c
 
-    The normal form a / 2^(k/2) (integer a, k >= 0) used in printed matrices
-    is a special case: one of the two components is zero and the denominator
-    is a power of two.
+
+class ExactCoeff:
+    """Element a + b*sqrt(2) with rational a, b, stored as (p, q, d).
+
+    The constructor takes a and b as ints or Fractions; ``a`` and ``b`` read
+    them back as Fractions.  The normal form a / 2^(k/2) (integer a,
+    k >= 0) used in printed matrices is a special case: one of the two
+    components is zero and the denominator is a power of two.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        p, q = a.numerator * b.denominator, b.numerator * a.denominator
+        d = a.denominator * b.denominator
+        g = gcd(p, q, d)
+        self.p, self.q, self.d = p // g, q // g, d // g
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @classmethod
     def from_half_power(cls, numer, k):
@@ -33,71 +61,91 @@ class ExactCoeff:
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k % 2 == 0:
-            return cls(Fraction(numer, 2 ** (k // 2)))
+            return _new(numer, 0, 2 ** (k // 2))
         # 1/2^(k/2) = sqrt(2) / 2^((k+1)/2)
-        return cls(0, Fraction(numer, 2 ** ((k + 1) // 2)))
+        return _new(0, numer, 2 ** ((k + 1) // 2))
 
     def as_half_power(self):
         """Inverse of from_half_power; returns (numer, k) or None if the
         value is not of that form."""
-        if self.a and self.b:
+        if self.p and self.q:
             return None
-        comp, odd = (self.a, 0) if not self.b else (self.b, 1)
-        den = comp.denominator
+        numer, odd = (self.p, 0) if not self.q else (self.q, 1)
+        den = self.d  # gcd(numer, den) = 1 in normal form
         if den & (den - 1):  # not a power of two
             return None
         # even case: a = numer/2^(k/2) with k = 2*log2(den)
         # odd case:  b*sqrt2 = numer/2^(k/2) with k = 2*log2(den) - 1
         k = 2 * (den.bit_length() - 1) - odd
-        numer = comp.numerator
         if k < 0:  # integer multiple of sqrt2: n*sqrt2 = 2n/2^(1/2)
             return (2 * numer, 1)
         return (numer, k)
+
+    def split(self):
+        """(a, b) as rational ExactCoeffs, with self = a + b*sqrt2."""
+        return _new(self.p, 0, self.d), _new(self.q, 0, self.d)
 
     # -- field operations -------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, ExactCoeff):
             return other
+        if type(other) is int:
+            return _new(other, 0, 1)
         if isinstance(other, (int, Fraction)):
             return ExactCoeff(other)
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactCoeff(self.a + o.a, self.b + o.b)
+        if type(other) is not ExactCoeff:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _new(self.p + other.p, self.q + other.q, d1)
+        return _new(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1,
+                    d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactCoeff(-self.a, -self.b)
+        return _new(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactCoeff(self.a - o.a, self.b - o.b)
+        if type(other) is not ExactCoeff:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _new(self.p - other.p, self.q - other.q, d1)
+        return _new(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1,
+                    d1 * d2)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactCoeff(self.a * o.a + 2 * self.b * o.b,
-                          self.a * o.b + self.b * o.a)
+        if type(other) is not ExactCoeff:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        return _new(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2,
+                    self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)
-        norm = self.a * self.a - 2 * self.b * self.b
+        # d/(p + q*sqrt2) = d*(p - q*sqrt2)/(p^2 - 2 q^2)
+        p, q, d = self.p, self.q, self.d
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return ExactCoeff(self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _new(-d * p, d * q, -norm)
+        return _new(d * p, -d * q, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -109,27 +157,29 @@ class ExactCoeff:
         return self.inverse() * other
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.a == o.a and self.b == o.b
+        if type(other) is not ExactCoeff:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p) or bool(self.q)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _SQRT2
+        # int / int rounds correctly, exactly as float(Fraction(p, d)) does
+        return self.p / self.d + (self.q / self.d) * _SQRT2
 
     def is_rational(self):
-        return self.b == 0
+        return self.q == 0
 
     def __repr__(self):
-        if not self.b:
+        if not self.q:
             return f"ExactCoeff({self.a})"
-        if not self.a:
+        if not self.p:
             return f"ExactCoeff({self.b}*sqrt2)"
         return f"ExactCoeff({self.a} + {self.b}*sqrt2)"
 
@@ -155,44 +205,19 @@ class ExactMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)]
                     for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n, m):
-        return cls([[ZERO] * m for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def __matmul__(self, other):
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(n):
-            ri = self.rows[i]
-            out.append([sum((ri[t] * other.rows[t][j] for t in range(k)),
-                            ZERO) for j in range(m)])
-        return ExactMatrix(out)
-
-    def __add__(self, other):
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __mul__(self, scalar):
-        return ExactMatrix([[e * scalar for e in row] for row in self.rows])
-
-    __rmul__ = __mul__
+        cols = list(zip(*other.rows))
+        return ExactMatrix([[sum((x * y for x, y in zip(ri, cj) if x and y),
+                                 ZERO) for cj in cols] for ri in self.rows])
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def transpose(self):
-        return ExactMatrix(list(map(list, zip(*self.rows))))
 
     def to_float(self):
         import numpy as np
@@ -200,6 +225,33 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows!r})"
+
+
+def gauss_jordan(rows, n_cols):
+    """Gauss-Jordan elimination over Q(sqrt2) (rationals are just q = 0) of
+    the first ``n_cols`` columns of ``rows``; later columns are carried
+    along.  Returns (reduced rows, pivot columns); the rows past
+    ``len(pivots)`` are zero on the eliminated columns."""
+    aug = [list(r) for r in rows]
+    n_rows = len(aug)
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        piv = next((i for i in range(rank, n_rows) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = aug[rank][col].inverse()
+        prow = aug[rank] = [e * inv if e else e for e in aug[rank]]
+        for i in range(n_rows):
+            f = aug[i][col]
+            if i != rank and f:
+                aug[i] = [a - f * b if b else a
+                          for a, b in zip(aug[i], prow)]
+        pivots.append(col)
+    return aug, pivots
 
 
 def solve_exact(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -210,17 +262,8 @@ def solve_exact(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     n, n2 = A.shape
     if n != n2 or B.shape[0] != n:
         raise ValueError("bad shapes")
-    aug = [list(ra) + list(rb) for ra, rb in zip(A.rows, B.rows)]
-    m = B.shape[1]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [er - f * ec for er, ec in zip(aug[r], aug[col])]
-    return ExactMatrix([row[n:n + m] for row in aug])
+    aug, pivots = gauss_jordan(
+        [ra + rb for ra, rb in zip(A.rows, B.rows)], n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return ExactMatrix([row[n:] for row in aug])

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactCoeff, ExactMatrix, ONE, ZERO, solve_exact
+from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO, solve_exact
 from .networks import SplitterNetwork, build_network, x_block
 from .phasespace import SymplecticMap, make_rotation, make_shear
 
@@ -63,10 +62,8 @@ class TeleportedGate:
 
 # cos(k*pi/4), sin(k*pi/4) in Q(sqrt2), k mod 8
 _EIGHTH = {
-    0: ExactCoeff(1), 1: ExactCoeff(0, Fraction(1, 2)),
-    2: ExactCoeff(0), 3: ExactCoeff(0, Fraction(-1, 2)),
-    4: ExactCoeff(-1), 5: ExactCoeff(0, Fraction(-1, 2)),
-    6: ExactCoeff(0), 7: ExactCoeff(0, Fraction(1, 2)),
+    0: ONE, 1: HALF_SQRT2, 2: ZERO, 3: -HALF_SQRT2,
+    4: -ONE, 5: -HALF_SQRT2, 6: ZERO, 7: HALF_SQRT2,
 }
 
 

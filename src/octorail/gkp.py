@@ -119,10 +119,6 @@ def custom_encoding(u_g: SymplecticMap) -> Encoding:
     return Encoding("custom", u_g)
 
 
-def encoding_unitary(encoding: Encoding) -> SymplecticMap:
-    return encoding.u_g
-
-
 def transpose_map(smap: SymplecticMap) -> SymplecticMap:
     """Operator transpose (x -> x, p -> -p) at the symplectic level."""
     m = smap.matrix
@@ -538,13 +534,15 @@ class MagicProbeResult:
     seed: int
 
 
-def magic_probe_single(delta_sq: float, alpha: complex,
-                       grid: Grid | None = None) -> MagicProbeSample:
-    """Project one half of a qunaught Bell pair onto the coherent value
-    alpha and report the logical content of the other half."""
-    grid = grid or default_grid()
+def _probe_kernels(delta_sq: float, axis: np.ndarray):
+    """Bell-pair and damping kernels of a magic probe, for every sample."""
+    return (_bell_amplitude(axis, axis[None, :], delta_sq),
+            _damping_kernel(math.asinh(delta_sq), axis))
+
+
+def _probe_sample(alpha: complex, grid: Grid, bell: np.ndarray,
+                  damping: np.ndarray) -> MagicProbeSample:
     axis = grid.axis
-    bell = _bell_amplitude(axis, axis[None, :], delta_sq)
     coherent = (math.pi ** -0.25
                 * np.exp(-(axis - math.sqrt(2) * alpha.real) ** 2 / 2
                          + 1j * math.sqrt(2) * alpha.imag * axis))
@@ -561,11 +559,18 @@ def magic_probe_single(delta_sq: float, alpha: complex,
     dist = min(float(np.linalg.norm(r - u)) / 2 for u in _H_TYPE_AXES)
     # projection onto the approximate code manifold: ideal comb projection
     # followed by the same finite-squeezing damping as the source states
-    proj = _damping_kernel(math.asinh(delta_sq), axis) @ code_projection(
-        wf).amplitudes
+    proj = damping @ code_projection(wf).amplitudes
     proj_wf = GridWavefunction(grid, proj)
     pf = fidelity(wf, proj_wf) if proj_wf.norm() > 0 else 0.0
     return MagicProbeSample(alpha, weight, bloch, dist, pf)
+
+
+def magic_probe_single(delta_sq: float, alpha: complex,
+                       grid: Grid | None = None) -> MagicProbeSample:
+    """Project one half of a qunaught Bell pair onto the coherent value
+    alpha and report the logical content of the other half."""
+    grid = grid or default_grid()
+    return _probe_sample(alpha, grid, *_probe_kernels(delta_sq, grid.axis))
 
 
 def heterodyne_magic_probe(delta_sq: float, samples: int,
@@ -583,10 +588,11 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
+    kernels = _probe_kernels(delta_sq, grid.axis)
     records = []
     for _ in range(samples):
         alpha = complex(rng.normal(0, std), rng.normal(0, std))
-        sample = magic_probe_single(delta_sq, alpha, grid)
+        sample = _probe_sample(alpha, grid, *kernels)
         proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
                     * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
         records.append(MagicProbeSample(alpha, sample.weight / proposal,

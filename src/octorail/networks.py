@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .exact import ExactCoeff, ExactMatrix, HALF_SQRT2, ONE, ZERO
 
@@ -73,6 +74,13 @@ def x_block(network: SplitterNetwork) -> ExactMatrix:
     for layer in network.layers:
         out = layer_matrix(layer, network.n_modes) @ out
     return out
+
+
+@lru_cache(maxsize=1)
+def eightsplitter_matrix() -> tuple:
+    """The level-2 transfer matrix S as immutable rows of ExactCoeff,
+    composed once and shared by the modules that read it."""
+    return tuple(map(tuple, x_block(build_network(2)).rows))
 
 
 def check_layer_commutation(network: SplitterNetwork) -> dict:

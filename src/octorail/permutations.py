@@ -12,10 +12,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix
-from .networks import build_network, x_block
+import numpy as np
+
+from .exact import ExactCoeff, ExactMatrix
+from .networks import eightsplitter_matrix
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,6 @@ class ModePermutation:
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
         return ModePermutation(tuple(inv))
-
-    def is_even(self) -> bool:
-        seen = [False] * 8
-        parity = 0
-        for i in range(8):
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = self.images[j] - 1
-                    length += 1
-                parity ^= (length - 1) & 1
-        return parity == 0
 
     @classmethod
     def identity(cls) -> "ModePermutation":
@@ -150,18 +140,26 @@ def is_allowed(p: ModePermutation, implementation: str = "closure") -> bool:
     raise ValueError("implementation must be 'closure' or 'sets'")
 
 
+#: Base-8 place values: a 0-based image tuple's code sorts as the tuple does
+_BASE8 = 8 ** np.arange(7, -1, -1)
+
+
 def cosets() -> list[ModePermutation]:
     """Lexicographically smallest representative of each right coset of the
     allowed group in S8."""
-    allowed = sorted(_allowed_images())
-    assigned = set()
+    allowed = np.array(sorted(_allowed_images())) - 1
+    # itertools.permutations yields S8 in lexicographic order
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(8))),
+        dtype=np.int64, count=8 * 40320).reshape(-1, 8)
+    codes = perms @ _BASE8
+    assigned = np.zeros(len(codes), dtype=bool)
     reps = []
-    for images in itertools.permutations(range(1, 9)):
-        if images in assigned:
-            continue
-        reps.append(ModePermutation(images))
-        for p in allowed:
-            assigned.add(tuple(p[j - 1] for j in images))
+    while not assigned.all():
+        rep = perms[np.argmin(assigned)]  # the first unassigned permutation
+        reps.append(ModePermutation(tuple(int(i) + 1 for i in rep)))
+        # its coset {g o rep}: (g o rep)(j) = g(rep(j))
+        assigned[np.searchsorted(codes, allowed[:, rep] @ _BASE8)] = True
     return reps
 
 
@@ -169,12 +167,6 @@ def cosets() -> list[ModePermutation]:
 class SignedPermutationMatrix:
     permutation: ModePermutation  # detector d reads original detector permutation(d)
     signs: tuple  # per-row sign
-
-    def to_exact(self) -> ExactMatrix:
-        rows = [[0] * 8 for _ in range(8)]
-        for d in range(1, 9):
-            rows[d - 1][self.permutation(d) - 1] = self.signs[d - 1]
-        return ExactMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -184,25 +176,12 @@ class TransformRejection:
     offending_row: int
 
 
-def _perm_matrix(p: ModePermutation) -> ExactMatrix:
-    rows = [[0] * 8 for _ in range(8)]
-    for i in range(1, 9):
-        rows[p(i) - 1][i - 1] = 1
-    return ExactMatrix(rows)
-
-
-@lru_cache(maxsize=1)
-def _s_exact() -> ExactMatrix:
-    return x_block(build_network(2))
-
-
 @lru_cache(maxsize=1)
 def _h_int():
     """Integer sign matrix H with S = H/(2*sqrt2); S.P.S^T = H.P.H^T/8
     stays in integers, which keeps the 1344-element sweep fast."""
-    import numpy as np
     h = []
-    for row in _s_exact().rows:
+    for row in eightsplitter_matrix():
         hrow = []
         for e in row:
             numer, k = e.as_half_power()
@@ -215,8 +194,6 @@ def _h_int():
 def basis_transform(p: ModePermutation):
     """Exact S.P.S^T; a SignedPermutationMatrix for allowed permutations,
     a TransformRejection otherwise."""
-    import numpy as np
-
     h = _h_int()
     # H @ P permutes columns of H: column i of HP is column p^{-1}... use
     # P[p(i)-1][i-1] = 1, so (H P)[:, i] = H[:, p(i)-1].
@@ -227,9 +204,8 @@ def basis_transform(p: ModePermutation):
     for d in range(8):
         nonzero = np.nonzero(m8[d])[0]
         if len(nonzero) != 1 or abs(m8[d, nonzero[0]]) != 8:
-            from fractions import Fraction
-            dense = ExactMatrix([[Fraction(int(e), 8) for e in row]
-                                 for row in m8])
+            dense = ExactMatrix([[ExactCoeff(Fraction(int(e), 8))
+                                  for e in row] for row in m8])
             return TransformRejection(dense, d + 1)
         j = int(nonzero[0])
         images[d] = j + 1

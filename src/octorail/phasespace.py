@@ -5,7 +5,8 @@ variance 1/2 per quadrature.  Sign conventions are pinned by three anchors:
 the rotated quadrature x_theta = x cos(theta) + p sin(theta), the
 shear decomposition (see ``shear_decomposition``), and the requirement that
 the composed eight-mode splitter network reproduces its published transfer
-matrix (see the networks module).
+matrix (see the networks module).  So ``make_rotation(theta)`` has x-row
+(cos theta, sin theta), and ``make_squeeze(t)`` maps x -> t*x.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Named convention constants (see module docstring).  X_THETA_SIGN = +1 means
-# make_rotation(theta) has x-row (cos, sin); SQUEEZE_LOG_SIGN = +1 means
-# make_squeeze(t) maps x -> t*x.
-X_THETA_SIGN = +1
-SQUEEZE_LOG_SIGN = +1
 
 ATOL = 1e-12
 

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO
-from .networks import build_network, x_block
+from .exact import ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, gauss_jordan
+from .networks import eightsplitter_matrix
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -163,7 +162,7 @@ class MacronodeModel:
                 _apply_beamsplitter(rows, local, partner)
             # the physical pi/2 rotation on one half of the Bell pair
             _apply_hadamard(rows, h_wire)
-        s = x_block(build_network(2)).rows
+        s = eightsplitter_matrix()
         for block in (0, len(WIRES)):
             old = [rows[block + j] for j in range(8)]
             for d in range(8):
@@ -235,8 +234,7 @@ def _rel(out, coeffs, record):
             c[label] = ZERO - HALF_SQRT2
         else:
             c[label] = ExactCoeff(val)
-    disp = {f"m{d + 1}": ExactCoeff(0, Fraction(record[d], 2))
-            for d in range(8)}
+    disp = {f"m{d + 1}": HALF_SQRT2 * record[d] for d in range(8)}
     return QuadratureRelation(out, c, disp)
 
 
@@ -338,10 +336,10 @@ def _is_droppable(vec) -> bool:
     of sqrt2 on qunaught symbols with integer multiplier, even integers on
     the data symbols."""
     for i in _QUNAUGHT:
-        if vec[i].a != 0 or vec[i].b.denominator != 1:
+        if vec[i].p != 0 or vec[i].d != 1:
             return False
     for i in (_DATA_X, _DATA_P):
-        if vec[i].b != 0 or vec[i].a.denominator != 1 or vec[i].a % 2 != 0:
+        if vec[i].q != 0 or vec[i].d != 1 or vec[i].p % 2 != 0:
             return False
     return True
 
@@ -349,34 +347,21 @@ def _is_droppable(vec) -> bool:
 # ---- exact rational linear algebra for the record solver -----------------
 
 def _rational_solve(matrix, rhs):
-    """Gauss-Jordan over Q; returns (particular solution, null basis) or
-    (None, None) for an inconsistent system."""
-    n_rows, n_cols = len(matrix), len(matrix[0])
-    aug = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [e * inv for e in aug[rank]]
-        for i in range(n_rows):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(aug[i][n_cols] for i in range(rank, n_rows)):
+    """Solve matrix @ x = rhs over Q (rational ExactCoeff entries); returns
+    (particular solution, null basis) or (None, None) for an inconsistent
+    system."""
+    n_cols = len(matrix[0])
+    aug, pivots = gauss_jordan([row + [r] for row, r in zip(matrix, rhs)],
+                               n_cols)
+    if any(row[n_cols] for row in aug[len(pivots):]):
         return None, None
-    sol = [Fraction(0)] * n_cols
+    sol = [ZERO] * n_cols
     for r, c in enumerate(pivots):
         sol[c] = aug[r][n_cols]
     null = []
     for free in (c for c in range(n_cols) if c not in pivots):
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
+        vec = [ZERO] * n_cols
+        vec[free] = ONE
         for r, c in enumerate(pivots):
             vec[c] = -aug[r][free]
         null.append(vec)
@@ -433,16 +418,19 @@ def _solve_displacement(target, raw, rows_m):
     target = raw + sum_d r_d * m_d modulo lattice-trivial terms; None if no
     such record exists."""
     diff = [t - r for t, r in zip(target, raw)]
+    # rational and sqrt2 parts, as rational ExactCoeffs
+    diff_ab = [c.split() for c in diff]
+    rows_ab = [[c.split() for c in row] for row in rows_m]
     # unknowns: u_d + v_d*sqrt2 per detector (16 rationals)
     matrix, rhs = [], []
     for i in _QUNAUGHT:  # rational parts must vanish exactly
-        matrix.append([rows_m[d][i].a for d in range(8)]
-                      + [2 * rows_m[d][i].b for d in range(8)])
-        rhs.append(diff[i].a)
+        matrix.append([rows_ab[d][i][0] for d in range(8)]
+                      + [2 * rows_ab[d][i][1] for d in range(8)])
+        rhs.append(diff_ab[i][0])
     for i in (_DATA_X, _DATA_P):  # sqrt2 parts on the data must vanish
-        matrix.append([rows_m[d][i].b for d in range(8)]
-                      + [rows_m[d][i].a for d in range(8)])
-        rhs.append(diff[i].b)
+        matrix.append([rows_ab[d][i][1] for d in range(8)]
+                      + [rows_ab[d][i][0] for d in range(8)])
+        rhs.append(diff_ab[i][1])
     sol, null = _rational_solve(matrix, rhs)
     if sol is None:
         return None
@@ -450,23 +438,23 @@ def _solve_displacement(target, raw, rows_m):
     def lattice_coords(vec):
         # integrality conditions: sqrt2 part on qunaughts, half the rational
         # part on the data symbols
-        out = [diff[i].b - sum(vec[d] * rows_m[d][i].b
-                               + vec[8 + d] * rows_m[d][i].a
-                               for d in range(8)) for i in _QUNAUGHT]
+        out = [diff_ab[i][1] - sum((vec[d] * rows_ab[d][i][1]
+                                    + vec[8 + d] * rows_ab[d][i][0]
+                                    for d in range(8)), ZERO)
+               for i in _QUNAUGHT]
         for i in (_DATA_X, _DATA_P):
-            out.append((diff[i].a - sum(vec[d] * rows_m[d][i].a
-                                        + 2 * vec[8 + d] * rows_m[d][i].b
-                                        for d in range(8))) / 2)
+            out.append((diff_ab[i][0] - sum((vec[d] * rows_ab[d][i][0]
+                                             + 2 * vec[8 + d] * rows_ab[d][i][1]
+                                             for d in range(8)), ZERO)) / 2)
         return out
 
     base = lattice_coords(sol)
     if not null:
-        if all(c.denominator == 1 for c in base):
+        if all(c.d == 1 for c in base):
             return _as_record(sol)
         return None
     shift = []
-    zero = [Fraction(0)] * len(null[0])
-    for k, basis_vec in enumerate(null):
+    for basis_vec in null:
         probe = [s + b for s, b in zip(sol, basis_vec)]
         shift.append([a - b for a, b in
                       zip(lattice_coords(probe), base)])
@@ -474,51 +462,40 @@ def _solve_displacement(target, raw, rows_m):
     n_free = len(null)
     # left-null rows of the (n_lat x n_free) shift matrix give the
     # obstruction conditions L z = L base with integer z
-    aug = [[shift[k][i] for k in range(n_free)]
-           + [Fraction(1) if j == i else Fraction(0) for j in range(n_lat)]
-           for i in range(n_lat)]
-    rank = 0
-    for col in range(n_free):
-        pivot = next((i for i in range(rank, n_lat) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [e * inv for e in aug[rank]]
-        for i in range(n_lat):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        rank += 1
+    aug, pivots = gauss_jordan(
+        [[shift[k][i] for k in range(n_free)]
+         + [ONE if j == i else ZERO for j in range(n_lat)]
+         for i in range(n_lat)], n_free)
     l_int, m_int = [], []
-    for row in aug[rank:]:
+    for row in aug[len(pivots):]:
         lrow = row[n_free:]
-        mval = sum(a * b for a, b in zip(lrow, base))
+        mval = sum((a * b for a, b in zip(lrow, base)), ZERO)
         den = 1
         for e in lrow + [mval]:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-        if (mval * den).denominator != 1:
+            den = den * e.d // math.gcd(den, e.d)
+        if (mval * den).d != 1:
             return None
-        l_int.append([int(e * den) for e in lrow])
-        m_int.append(int(mval * den))
+        l_int.append([e.p * (den // e.d) for e in lrow])
+        m_int.append(mval.p * (den // mval.d))
     z = _integer_solve(l_int, m_int)
     if z is None:
         return None
     t, _ = _rational_solve([[shift[k][i] for k in range(n_free)]
                             for i in range(n_lat)],
-                           [Fraction(zi) - b for zi, b in zip(z, base)])
+                           [zi - b for zi, b in zip(z, base)])
     if t is None:
         return None
-    final = [sol[i] + sum(tk * null[k][i] for k, tk in enumerate(t))
+    final = [sol[i] + sum((tk * null[k][i] for k, tk in enumerate(t)), ZERO)
              for i in range(16)]
-    check = [diff[i] - sum((ExactCoeff(final[d], final[8 + d])
-                            * rows_m[d][i] for d in range(8)), ZERO)
+    record = _as_record(final)
+    check = [diff[i] - sum((record[f"m{d + 1}"] * rows_m[d][i]
+                            for d in range(8)), ZERO)
              for i in range(_N_SYM)]
-    return _as_record(final) if _is_droppable(check) else None
+    return record if _is_droppable(check) else None
 
 
 def _as_record(vec):
-    return {f"m{d + 1}": ExactCoeff(vec[d], vec[8 + d]) for d in range(8)}
+    return {f"m{d + 1}": vec[d] + vec[8 + d] * SQRT2 for d in range(8)}
 
 
 # ---- relation verification ----------------------------------------------
@@ -607,10 +584,6 @@ def derive_quadrature_relations(role: str) -> list[RelationCheck]:
 # stabilizer extraction
 # --------------------------------------------------------------------------
 
-def _s_rows():
-    return x_block(build_network(2)).rows
-
-
 def stabilizer_combination(kind: str):
     """Outcome weight vectors and the induced input-quadrature coefficient
     vectors for the printed stabilizer measurements, by exact row
@@ -619,14 +592,14 @@ def stabilizer_combination(kind: str):
     Returns a list of (outcome_weights, input_coefficients) pairs, both
     length-8 tuples of ExactCoeff.
     """
-    s = _s_rows()
-    half = Fraction(1, 2)
+    s = eightsplitter_matrix()
+    half = ONE / 2
 
     def combo(weights):
-        weights = [Fraction(w) for w in weights]
+        weights = [w * ONE for w in weights]
         inputs = tuple(sum((w * s[d][j] for d, w in enumerate(weights)
                             if w), ZERO) for j in range(8))
-        return tuple(ExactCoeff(w) for w in weights), inputs
+        return tuple(weights), inputs
 
     if kind == "bulk-X":
         return [combo([0, 0, 0, 0, -1, 0, 0, 1])]

@@ -72,3 +72,180 @@ def test_solve_exact_roundtrip():
     rhs = ExactMatrix([[ONE], [ExactCoeff(0, 3)]])
     x = solve_exact(m, rhs)
     assert m @ x == rhs
+
+
+# ---------------------------------------------------------------------------
+# normal form and field operations against a Fraction-pair reference
+
+nonzero_ints = st.integers(-30, 30).filter(bool)
+
+
+@given(small_fractions, small_fractions, nonzero_ints, coeffs)
+def test_normal_form_is_canonical(a, b, k, other):
+    c = ExactCoeff(a, b)
+    assert c.d > 0 and math.gcd(c.p, c.q, c.d) == 1
+    assert (c.a, c.b) == (a, b)
+    # the same value reached by other routes has the same triple and hash
+    routes = [ExactCoeff(a) + ExactCoeff(0, b), c * k / k,
+              (c + other) - other, -(-c), ExactCoeff(0, 1) * ExactCoeff(b)
+              + ExactCoeff(a)]
+    if other:
+        routes.append(c * other / other)
+    if c:
+        routes.append(c.inverse().inverse())
+    for again in routes:
+        assert (again.p, again.q, again.d) == (c.p, c.q, c.d)
+        assert again == c and hash(again) == hash(c)
+    for e in routes + [c * other, c - other, c * k]:
+        assert e.d > 0 and math.gcd(e.p, e.q, e.d) == 1
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    norm = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+@given(coeffs, coeffs)
+def test_field_ops_match_fraction_pair_reference(c1, c2):
+    x, y = (c1.a, c1.b), (c2.a, c2.b)
+    assert ((c1 + c2).a, (c1 + c2).b) == (x[0] + y[0], x[1] + y[1])
+    assert ((c1 - c2).a, (c1 - c2).b) == (x[0] - y[0], x[1] - y[1])
+    assert ((c1 * c2).a, (c1 * c2).b) == _ref_mul(x, y)
+    assert ((-c1).a, (-c1).b) == (-x[0], -x[1])
+    if c2:
+        inv = c2.inverse()
+        assert (inv.a, inv.b) == _ref_inverse(y)
+        quot = c1 / c2
+        assert (quot.a, quot.b) == _ref_mul(x, _ref_inverse(y))
+    # floats round as the Fraction components do
+    assert float(c1) == float(x[0]) + float(x[1]) * SQRT2
+    assert bool(c1) == (x != (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle of x_block and of the shared elimination
+
+
+def _to_sympy(sympy, c):
+    return sympy.Rational(c.a) + sympy.sqrt(2) * sympy.Rational(c.b)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_x_block_matches_sympy_kronecker_power(level):
+    """The layers act on different bits of the mode index, so the composed
+    transfer matrix is the (level+1)-fold Kronecker power of one balanced
+    beamsplitter [[1, -1], [1, 1]]/sqrt2."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.quantum import TensorProduct
+    from octorail.networks import build_network, x_block
+
+    bs = sympy.Matrix([[1, -1], [1, 1]]) / sympy.sqrt(2)
+    want = bs
+    for _ in range(level):
+        want = TensorProduct(bs, want)
+    got = x_block(build_network(level))
+    n = 2 ** (level + 1)
+    assert got.shape == want.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert _to_sympy(sympy, got[i, j]) == sympy.nsimplify(want[i, j])
+
+
+def _random_coeff(rng, den=4):
+    return ExactCoeff(Fraction(rng.randint(-4, 4), rng.randint(1, den)),
+                      Fraction(rng.randint(-4, 4), rng.randint(1, den)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_exact_matches_sympy(seed):
+    """Random invertible systems, solved again by sympy's own elimination
+    over the algebraic field QQ<sqrt2>."""
+    sympy = pytest.importorskip("sympy")
+    import random
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+
+    def domain(rows):
+        return DomainMatrix.from_Matrix(sympy.Matrix(
+            [[_to_sympy(sympy, e) for e in r] for r in rows])).convert_to(field)
+
+    rng = random.Random(seed)
+    n, m = rng.randint(2, 4), rng.randint(1, 3)
+    while True:
+        a = [[_random_coeff(rng) for _ in range(n)] for _ in range(n)]
+        if domain(a).det():
+            break
+    b = [[_random_coeff(rng) for _ in range(m)] for _ in range(n)]
+    want = domain(a).lu_solve(domain(b)).to_Matrix()
+    x = solve_exact(ExactMatrix(a), ExactMatrix(b))
+    for i in range(n):
+        for j in range(m):
+            assert sympy.expand(_to_sympy(sympy, x[i, j]) - want[i, j]) == 0
+
+
+def _null_basis(reduced, pivots, n_cols):
+    """Null basis read off the reduced rows, as _rational_solve does."""
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [ZERO] * n_cols
+        vec[free] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        basis.append(vec)
+    return basis
+
+
+def test_gauss_jordan_null_basis_spans_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    from octorail.exact import gauss_jordan
+
+    s2 = ExactCoeff(0, 1)
+    base = [[ONE, s2, ZERO, ExactCoeff(2), ExactCoeff(1, -1)],
+            [ZERO, ExactCoeff(3), ONE, s2, ExactCoeff(Fraction(1, 2))],
+            [ExactCoeff(Fraction(1, 3), 1), ZERO, s2, ONE, ZERO]]
+    # rank 3 in 5 columns, with two dependent rows appended
+    rows = base + [[x + s2 * y for x, y in zip(base[0], base[2])],
+                   [x * ExactCoeff(1, 1) - y for x, y in zip(base[1],
+                                                           base[0])]]
+    reduced, pivots = gauss_jordan(rows, 5)
+    assert len(pivots) == 3
+    assert all(not e for row in reduced[3:] for e in row)
+    ours = _null_basis(reduced, pivots, 5)
+    a_sym = sympy.Matrix([[_to_sympy(sympy, e) for e in r] for r in rows])
+    theirs = a_sym.nullspace()
+    assert len(ours) == len(theirs) == 2
+    ours_sym = sympy.Matrix([[_to_sympy(sympy, e) for e in v] for v in ours])
+    for v in ours:
+        assert (ExactMatrix(rows) @ ExactMatrix([[e] for e in v])
+                == ExactMatrix([[ZERO]] * 5))
+    # the two bases span the same space
+    stacked = ours_sym.col_join(sympy.Matrix.hstack(*theirs).T)
+    assert sympy.simplify(stacked).rank(simplify=True) == 2
+
+
+def test_record_solver_elimination_matches_sympy_on_a_rational_system():
+    sympy = pytest.importorskip("sympy")
+    from octorail.surface import _rational_solve
+
+    ints = [[2, -1, 0, 3, 1, 0], [0, 4, 1, -2, 0, 1], [2, 3, 1, 1, 1, 1],
+            [1, 0, 0, 1, 0, 0]]
+    rhs = [1, 2, 3, 0]
+    matrix = [[ExactCoeff(v) for v in row] for row in ints]
+    sol, null = _rational_solve(matrix, [ExactCoeff(v) for v in rhs])
+    a_sym = sympy.Matrix(ints)
+    assert a_sym * sympy.Matrix([_to_sympy(sympy, e) for e in sol]) \
+        == sympy.Matrix(rhs)
+    theirs = a_sym.nullspace()
+    assert len(null) == len(theirs) == 6 - a_sym.rank()
+    ours_sym = sympy.Matrix([[_to_sympy(sympy, e) for e in v] for v in null])
+    assert ours_sym * a_sym.T == sympy.zeros(len(null), 4)
+    stacked = ours_sym.col_join(sympy.Matrix.hstack(*theirs).T)
+    assert stacked.rank() == len(theirs)
+    # an inconsistent right-hand side
+    bad = [ExactCoeff(v) for v in (1, 2, 4, 0)]
+    assert _rational_solve(matrix, bad) == (None, None)

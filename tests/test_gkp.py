@@ -325,6 +325,28 @@ def test_probe_outputs_stay_near_code_manifold():
         assert sample.projection_fidelity > 0.99
 
 
+
+@pytest.mark.parametrize("delta_sq, seed", [(0.05, 3), (0.08, 11),
+                                            (10 ** -1.2, 2024)])
+def test_heterodyne_probe_equals_single_sample_calls(delta_sq, seed):
+    """The probe computes its kernels once; every field must equal what a
+    fresh per-sample magic_probe_single call gives, exactly."""
+    samples = 4
+    result = heterodyne_magic_probe(delta_sq, samples, seed)
+    rng = np.random.default_rng(seed)
+    std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
+    assert len(result.samples) == samples
+    for record in result.samples:
+        alpha = complex(rng.normal(0, std), rng.normal(0, std))
+        single = magic_probe_single(delta_sq, alpha)
+        proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
+                    * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
+        assert record.alpha == single.alpha == alpha
+        assert record.weight == single.weight / proposal
+        assert record.bloch == single.bloch
+        assert record.h_axis_distance == single.h_axis_distance
+        assert record.projection_fidelity == single.projection_fidelity
+
 def test_probe_symmetric_under_outcome_sign_flip():
     a = magic_probe_single(0.05, 0.37 - 0.21j)
     b = magic_probe_single(0.05, -0.37 + 0.21j)

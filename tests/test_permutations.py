@@ -38,6 +38,31 @@ def test_coset_count_and_disjointness():
     assert len(seen) == 40320
 
 
+def _cosets_oracle():
+    """The per-permutation sweep: walk S8 in lexicographic order and start
+    a new coset at each permutation no earlier coset holds."""
+    allowed = sorted(p.images for p in generate_allowed())
+    assigned = set()
+    reps = []
+    for images in itertools.permutations(range(1, 9)):
+        if images in assigned:
+            continue
+        reps.append(ModePermutation(images))
+        for p in allowed:
+            assigned.add(tuple(p[j - 1] for j in images))
+    return reps
+
+
+def test_cosets_match_per_permutation_oracle():
+    reps = cosets()
+    assert reps == _cosets_oracle()
+    assert len(reps) == 30
+    allowed = [p.images for p in generate_allowed()]
+    for rep in reps:
+        coset = {tuple(g[j - 1] for j in rep.images) for g in allowed}
+        assert rep.images == min(coset)
+
+
 def test_membership_implementations_agree_exhaustively():
     for images in itertools.permutations(range(1, 9)):
         p = ModePermutation(images)
