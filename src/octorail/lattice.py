@@ -28,10 +28,12 @@ class LatticeSpec:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.m >= 1 and self.n < 1:
-            raise ValueError("n >= 1 required when m >= 1")
-        if self.k >= 1 and self.m < 1:
-            raise ValueError("m >= 1 required when k >= 1")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
         if self.edge_flavor not in (PLAIN_BELL, HADAMARD_BELL):
             raise ValueError("unknown edge flavor")
 

@@ -344,29 +344,7 @@ def _is_droppable(vec) -> bool:
     return True
 
 
-# ---- exact rational linear algebra for the record solver -----------------
-
-def _rational_solve(matrix, rhs):
-    """Solve matrix @ x = rhs over Q (rational ExactCoeff entries); returns
-    (particular solution, null basis) or (None, None) for an inconsistent
-    system."""
-    n_cols = len(matrix[0])
-    aug, pivots = gauss_jordan([row + [r] for row, r in zip(matrix, rhs)],
-                               n_cols)
-    if any(row[n_cols] for row in aug[len(pivots):]):
-        return None, None
-    sol = [ZERO] * n_cols
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][n_cols]
-    null = []
-    for free in (c for c in range(n_cols) if c not in pivots):
-        vec = [ZERO] * n_cols
-        vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -aug[r][free]
-        null.append(vec)
-    return sol, null
-
+# ---- the record solver ---------------------------------------------------
 
 def _integer_solve(matrix, rhs):
     """One integer solution of matrix @ z = rhs (integer entries), or None."""
@@ -416,78 +394,52 @@ def _integer_solve(matrix, rhs):
 def _solve_displacement(target, raw, rows_m):
     """Exact outcome coefficients r (in Q(sqrt2)) such that
     target = raw + sum_d r_d * m_d modulo lattice-trivial terms; None if no
-    such record exists."""
+    such record exists.
+
+    The record r_d = u_d + v_d*sqrt2 gives 16 rational unknowns w = (u, v);
+    each lattice condition (the sqrt2 part on a qunaught symbol, half the
+    rational part on a data symbol) adds one integer unknown z_k.  One
+    Gauss-Jordan pass over w leaves rows in z alone, which the integer
+    solve settles; a rationally inconsistent system shows up there as a
+    zero row with a nonzero right-hand side.
+    """
     diff = [t - r for t, r in zip(target, raw)]
     # rational and sqrt2 parts, as rational ExactCoeffs
     diff_ab = [c.split() for c in diff]
     rows_ab = [[c.split() for c in row] for row in rows_m]
-    # unknowns: u_d + v_d*sqrt2 per detector (16 rationals)
-    matrix, rhs = [], []
-    for i in _QUNAUGHT:  # rational parts must vanish exactly
-        matrix.append([rows_ab[d][i][0] for d in range(8)]
-                      + [2 * rows_ab[d][i][1] for d in range(8)])
-        rhs.append(diff_ab[i][0])
-    for i in (_DATA_X, _DATA_P):  # sqrt2 parts on the data must vanish
-        matrix.append([rows_ab[d][i][1] for d in range(8)]
-                      + [rows_ab[d][i][0] for d in range(8)])
-        rhs.append(diff_ab[i][1])
-    sol, null = _rational_solve(matrix, rhs)
-    if sol is None:
-        return None
-
-    def lattice_coords(vec):
-        # integrality conditions: sqrt2 part on qunaughts, half the rational
-        # part on the data symbols
-        out = [diff_ab[i][1] - sum((vec[d] * rows_ab[d][i][1]
-                                    + vec[8 + d] * rows_ab[d][i][0]
-                                    for d in range(8)), ZERO)
-               for i in _QUNAUGHT]
-        for i in (_DATA_X, _DATA_P):
-            out.append((diff_ab[i][0] - sum((vec[d] * rows_ab[d][i][0]
-                                             + 2 * vec[8 + d] * rows_ab[d][i][1]
-                                             for d in range(8)), ZERO)) / 2)
-        return out
-
-    base = lattice_coords(sol)
-    if not null:
-        if all(c.d == 1 for c in base):
-            return _as_record(sol)
-        return None
-    shift = []
-    for basis_vec in null:
-        probe = [s + b for s, b in zip(sol, basis_vec)]
-        shift.append([a - b for a, b in
-                      zip(lattice_coords(probe), base)])
-    n_lat = len(base)
-    n_free = len(null)
-    # left-null rows of the (n_lat x n_free) shift matrix give the
-    # obstruction conditions L z = L base with integer z
-    aug, pivots = gauss_jordan(
-        [[shift[k][i] for k in range(n_free)]
-         + [ONE if j == i else ZERO for j in range(n_lat)]
-         for i in range(n_lat)], n_free)
-    l_int, m_int = [], []
+    # each condition is (coefficients on w, right-hand side); among equally
+    # valid records, the row order decides which one is returned
+    equal, lattice = [], []
+    for i in _QUNAUGHT + (_DATA_X, _DATA_P):
+        a = [rows_ab[d][i][0] for d in range(8)]
+        b = [rows_ab[d][i][1] for d in range(8)]
+        if i in (_DATA_X, _DATA_P):
+            # the sqrt2 part vanishes; half the rational part is an integer
+            equal.append((b + a, diff_ab[i][1]))
+            lattice.append(([x / 2 for x in a] + b, diff_ab[i][0] / 2))
+        else:
+            # the rational part vanishes; the sqrt2 part is an integer
+            equal.append((a + [2 * x for x in b], diff_ab[i][0]))
+            lattice.append((b + a, diff_ab[i][1]))
+    # [E | 0 | e] over [F | -I | f] in the unknowns (w, z)
+    n_lat = len(lattice)
+    rows = [coeffs + [ZERO] * n_lat + [e] for coeffs, e in equal]
+    rows += [coeffs + [-ONE if j == k else ZERO for j in range(n_lat)] + [f]
+             for k, (coeffs, f) in enumerate(lattice)]
+    aug, pivots = gauss_jordan(rows, 16)
+    z_int, g_int = [], []
     for row in aug[len(pivots):]:
-        lrow = row[n_free:]
-        mval = sum((a * b for a, b in zip(lrow, base)), ZERO)
-        den = 1
-        for e in lrow + [mval]:
-            den = den * e.d // math.gcd(den, e.d)
-        if (mval * den).d != 1:
-            return None
-        l_int.append([e.p * (den // e.d) for e in lrow])
-        m_int.append(mval.p * (den // mval.d))
-    z = _integer_solve(l_int, m_int)
+        den = math.lcm(*(e.d for e in row[16:]))
+        z_int.append([e.p * (den // e.d) for e in row[16:-1]])
+        g_int.append(row[-1].p * (den // row[-1].d))
+    z = _integer_solve(z_int, g_int)
     if z is None:
         return None
-    t, _ = _rational_solve([[shift[k][i] for k in range(n_free)]
-                            for i in range(n_lat)],
-                           [zi - b for zi, b in zip(z, base)])
-    if t is None:
-        return None
-    final = [sol[i] + sum((tk * null[k][i] for k, tk in enumerate(t)), ZERO)
-             for i in range(16)]
-    record = _as_record(final)
+    w = [ZERO] * 16
+    for r, c in enumerate(pivots):
+        w[c] = aug[r][-1] - sum((aug[r][16 + k] * zk
+                                 for k, zk in enumerate(z) if zk), ZERO)
+    record = _as_record(w)
     check = [diff[i] - sum((record[f"m{d + 1}"] * rows_m[d][i]
                             for d in range(8)), ZERO)
              for i in range(_N_SYM)]
@@ -638,14 +590,15 @@ def extract_stabilizer(outcomes, kind: str):
 # GKP binning
 # --------------------------------------------------------------------------
 
-def gkp_bin(value: float):
-    """Bin a quadrature value to the sqrt(pi) grid.
+def gkp_bin(value):
+    """Bin quadrature values (a float or an array) to the sqrt(pi) grid.
 
-    Returns (parity_bit, analog_residual) with the residual in
-    [-sqrt(pi)/2, sqrt(pi)/2).
+    Returns (parity, analog_residual) elementwise: parity is True on odd
+    grid points, and the residual lies in [-sqrt(pi)/2, sqrt(pi)/2).
     """
-    n = math.floor(value / SQRT_PI + 0.5)
-    return n % 2, value - n * SQRT_PI
+    n_grid = np.floor(value / SQRT_PI + 0.5)
+    parity = (n_grid.astype(np.int64) % 2).astype(bool)
+    return parity, value - n_grid * SQRT_PI
 
 
 # --------------------------------------------------------------------------
@@ -995,13 +948,6 @@ def _trial_graph(weight_row, dg: _DecodingGraph):
     return graph, sink_parity
 
 
-def _bin(shifts):
-    """Flip bits and residuals of quadrature shifts on the sqrt(pi) grid."""
-    n_grid = np.floor(shifts / SQRT_PI + 0.5)
-    flips = (n_grid.astype(np.int64) % 2).astype(bool)
-    return flips, shifts - n_grid * SQRT_PI
-
-
 def memory_experiment(distance: int, squeezing_db: float, rounds: int,
                       trials: int, seed: int) -> MemoryResult:
     """Phenomenological memory experiment on one check sector of the
@@ -1047,8 +993,8 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         # rng.normal(0, s, n) draws s * standard_normal(n); each row holds
         # one trial's qubit shifts, then its readout shifts
         z = rng.standard_normal((size, n_q + rounds * n_stabs))
-        flips, resid = _bin(sigma * z[:, :n_q])
-        m_flips, m_resid = _bin(sigma_m * z[:, n_q:])
+        flips, resid = gkp_bin(sigma * z[:, :n_q])
+        m_flips, m_resid = gkp_bin(sigma_m * z[:, n_q:])
 
         cum = np.logical_xor.accumulate(
             flips.reshape(size, rounds, n_qubits), axis=1)

@@ -21,8 +21,14 @@ def test_verify_all_passes(runner):
     assert len(names) == len(set(names))
 
 
-def test_verify_all_fault_injection(runner):
-    result = runner.invoke(cli, ["verify-all", "--inject-fault", "s-row-5"])
+def test_verify_all_fault_injection(runner, monkeypatch):
+    from octorail import networks
+
+    signs = [list(r) for r in networks.EIGHTSPLITTER_SIGNS]
+    signs[4][0] = -signs[4][0]
+    monkeypatch.setattr(networks, "EIGHTSPLITTER_SIGNS",
+                        tuple(tuple(r) for r in signs))
+    result = runner.invoke(cli, ["verify-all"])
     assert result.exit_code == 1
     assert "S matrix row 5" in result.output
 
@@ -190,6 +196,14 @@ def test_surface_memory_rejects_unsqueezed_level(capsys, db):
     err = capsys.readouterr().err
     assert err.startswith("error: squeezing_db must be a finite level above "
                           "0 dB")
+
+
+def test_lattice_export_rejects_m_zero(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "export", "--m", "0",
+              "--json", str(tmp_path / "g.json")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: m must be >= 1")
 
 
 def test_error_is_single_line(runner):

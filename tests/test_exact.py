@@ -189,7 +189,7 @@ def test_solve_exact_matches_sympy(seed):
 
 
 def _null_basis(reduced, pivots, n_cols):
-    """Null basis read off the reduced rows, as _rational_solve does."""
+    """Null basis read off the reduced rows of a Gauss-Jordan pass."""
     basis = []
     for free in (c for c in range(n_cols) if c not in pivots):
         vec = [ZERO] * n_cols
@@ -228,24 +228,60 @@ def test_gauss_jordan_null_basis_spans_sympy_nullspace():
     assert sympy.simplify(stacked).rank(simplify=True) == 2
 
 
-def test_record_solver_elimination_matches_sympy_on_a_rational_system():
+def test_record_solver_elimination_matches_sympy_on_a_rational_system(
+        record_verdict):
     sympy = pytest.importorskip("sympy")
-    from octorail.surface import _rational_solve
+    from octorail.surface import _solve_displacement, sym_label
 
-    ints = [[2, -1, 0, 3, 1, 0], [0, 4, 1, -2, 0, 1], [2, 3, 1, 1, 1, 1],
-            [1, 0, 0, 1, 0, 0]]
-    rhs = [1, 2, 3, 0]
-    matrix = [[ExactCoeff(v) for v in row] for row in ints]
-    sol, null = _rational_solve(matrix, [ExactCoeff(v) for v in rhs])
-    a_sym = sympy.Matrix(ints)
-    assert a_sym * sympy.Matrix([_to_sympy(sympy, e) for e in sol]) \
-        == sympy.Matrix(rhs)
-    theirs = a_sym.nullspace()
-    assert len(null) == len(theirs) == 6 - a_sym.rank()
-    ours_sym = sympy.Matrix([[_to_sympy(sympy, e) for e in v] for v in null])
-    assert ours_sym * a_sym.T == sympy.zeros(len(null), 4)
-    stacked = ours_sym.col_join(sympy.Matrix.hstack(*theirs).T)
-    assert stacked.rank() == len(theirs)
-    # an inconsistent right-hand side
-    bad = [ExactCoeff(v) for v in (1, 2, 4, 0)]
-    assert _rational_solve(matrix, bad) == (None, None)
+    index = {sym_label(i): i for i in range(26)}
+
+    def vec(entries):
+        out = [ZERO] * 26
+        for label, value in entries.items():
+            out[index[label]] = ExactCoeff(*value)
+        return out
+
+    # integer rows on six qunaught symbols and both data symbols; m4 is
+    # m2 + m3 and m8 vanishes, so the elimination leaves free unknowns
+    rows = [vec({"x2'": (2,), "p2": (2,)}), vec({"x2'": (1,), "x3'": (-1,)}),
+            vec({"x1": (1,), "p2": (1,)})]
+    rows.append([a + b for a, b in zip(rows[1], rows[2])])
+    rows += [vec({"x6'": (1,), "x7'": (1,), "p6": (1,)}),
+             vec({"x6'": (1,), "x7'": (-1,)}), vec({"p1": (1,)}), vec({})]
+    raw = vec({})
+    record = (ExactCoeff(Fraction(1, 2)),
+              ExactCoeff(Fraction(1, 2), Fraction(1, 2)),
+              ExactCoeff(0, Fraction(1, 3)))
+    combination = [sum((r * row[i] for r, row in zip(record, rows)), ZERO)
+                   for i in range(26)]
+    cases = (
+        (combination, "derivable"),
+        # half a lattice step on x6' and on x7': m6 = sqrt2/2 absorbs both,
+        # but only with the lattice condition of p6 met by an integer
+        (vec({"x6'": (0, Fraction(1, 2)), "x7'": (0, Fraction(1, 2))}),
+         "derivable"),
+        # an odd integer on the data mode: only an odd multiple of m7 helps
+        (vec({"p1": (1,)}), "derivable"),
+        # a rational part on x4, which no row touches
+        (vec({"x4": (1,)}), "inconsistent"),
+        # half a lattice step on x2': the exact parts vanish, but every
+        # record that meets the integrality conditions on p2 and x3' misses
+        # it on x2'
+        (vec({"x2'": (0, Fraction(1, 2))}), "infeasible"),
+    )
+    s2 = sympy.sqrt(2)
+    for target, verdict in cases:
+        assert record_verdict(target, raw, rows) == verdict
+        solved = _solve_displacement(target, raw, rows)
+        assert (solved is not None) == (verdict == "derivable"), verdict
+        if solved is None:
+            continue
+        for i in range(26):
+            left = sympy.expand(_to_sympy(sympy, target[i]) - sum(
+                _to_sympy(sympy, solved[f"m{d + 1}"])
+                * _to_sympy(sympy, rows[d][i]) for d in range(8)))
+            rational, irrational = left.coeff(s2, 0), left.coeff(s2)
+            if sym_label(i) in ("x1", "p1"):
+                assert irrational == 0 and (rational / 2).is_integer
+            else:
+                assert rational == 0 and irrational.is_integer

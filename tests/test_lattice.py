@@ -56,6 +56,16 @@ def test_delays():
     assert LatticeSpec(4, 3, 0, 100).delays == (1, 4, 12, 0)
 
 
+@pytest.mark.parametrize("n, m, k, horizon, name", [
+    (0, 0, 0, 4, "n"),    # used to divide by zero in index_to_coords
+    (4, 0, 0, 8, "m"),    # likewise
+    (4, 4, -1, 40, "k"),  # used to give a negative axis-4 delay
+])
+def test_spec_rejects_sizes_it_cannot_build(n, m, k, horizon, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        LatticeSpec(n, m, k, horizon)
+
+
 def test_rhg_split_degree_pattern():
     # interior half-nodes: 3 external Bell links + 1 internal link each
     spec = LatticeSpec(4, 4, 0, 128)
