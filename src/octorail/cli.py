@@ -91,11 +91,9 @@ def run_verification_suites():
     """All anchored identities, one verdict per entry."""
     report = []
 
-    # eightsplitter transfer matrix, row by row, against the sign table as
-    # it stands at call time
+    # eightsplitter transfer matrix, row by row, against the sign table
     report += [{"name": r["name"], "pass": r["pass"], "detail": "exact"}
-               for r in networks.verify_eightsplitter(
-                   networks.EIGHTSPLITTER_SIGNS)]
+               for r in networks.verify_eightsplitter()]
 
     # layer commutation
     comm = networks.check_layer_commutation(networks.build_network(2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,15 @@ def _solve_constraints(sx, angles, cos_sin, zero, one, solve, wiring):
     return a_out, b_out
 
 
+@lru_cache(maxsize=8)
+def _float_x_block(network: SplitterNetwork) -> np.ndarray:
+    """The network's exact x-block as a read-only float matrix, converted
+    once per network for the float path of :func:`induced_gate`."""
+    sxf = x_block(network).to_float()
+    sxf.flags.writeable = False
+    return sxf
+
+
 def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGate:
     """Gate induced on the teleported modes by measuring the network outputs
     at the given homodyne angles, with ideal Bell-pair ancillas.
@@ -151,7 +161,6 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     if sorted([m for w in wiring for m in w]) != list(range(n)):
         raise ValueError("wiring must partition the network modes")
     k = n // 2
-    s_exact = x_block(network)
     exact_ok = all(_eighth_multiple(t) is not None for t in angles)
     if exact_ok:
         def solve(a_rows, rhs_rows):
@@ -159,7 +168,8 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
 
         try:
             a_out, b_out = _solve_constraints(
-                s_exact.rows, angles, _cos_sin_exact, ZERO, ONE, solve, wiring)
+                x_block(network).rows, angles, _cos_sin_exact, ZERO, ONE,
+                solve, wiring)
         except ValueError as exc:
             raise NonImplementableGateError(str(exc)) from exc
         a_exact = ExactMatrix(a_out)
@@ -168,7 +178,7 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
         return TeleportedGate(gate_map, b_exact.to_float(), wiring,
                               a_exact, b_exact)
     # float path (angles such as arctan 2)
-    sxf = s_exact.to_float()
+    sxf = _float_x_block(network)
 
     def solve_f(a_rows, rhs_rows):
         a = np.array(a_rows, dtype=float)

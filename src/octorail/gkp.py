@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -382,21 +383,26 @@ def _damping_kernel(beta: float, axis: np.ndarray) -> np.ndarray:
     return np.exp(-((xs ** 2 + ys ** 2) * ch - 2 * xs * ys) / (2 * sh))
 
 
-def _code_masks(axis: np.ndarray):
-    ratio = axis / SQRT_PI
+@lru_cache(maxsize=16)
+def _code_masks(grid: Grid) -> tuple:
+    """Read-only masks of the even and odd sqrt(pi) spikes on the grid,
+    computed once per grid."""
+    ratio = grid.axis / SQRT_PI
     masks = []
     for j in (0, 1):
         r = np.remainder(ratio - j, 2.0)
-        masks.append(np.isclose(r, 0.0, atol=1e-9)
-                     | np.isclose(r, 2.0, atol=1e-9))
-    return masks
+        mask = (np.isclose(r, 0.0, atol=1e-9)
+                | np.isclose(r, 2.0, atol=1e-9))
+        mask.flags.writeable = False
+        masks.append(mask)
+    return tuple(masks)
 
 
 def code_projection(wf: GridWavefunction) -> GridWavefunction:
     """Projection onto the ideal square-code manifold (spike combs at even
     and odd multiples of sqrt(pi); requires a sqrt(pi)-aligned grid)."""
     out = np.zeros(wf.grid.size, dtype=complex)
-    for mask in _code_masks(wf.grid.axis):
+    for mask in _code_masks(wf.grid):
         out = out + np.where(mask, wf.amplitudes[mask].sum(), 0)
     return GridWavefunction(wf.grid, out)
 
@@ -404,7 +410,7 @@ def code_projection(wf: GridWavefunction) -> GridWavefunction:
 def logical_amplitudes(wf: GridWavefunction) -> tuple[complex, complex]:
     """Ideal-code components (c0, c1) of the wavefunction: sums over the
     even and odd sqrt(pi) spikes."""
-    m0, m1 = _code_masks(wf.grid.axis)
+    m0, m1 = _code_masks(wf.grid)
     return wf.amplitudes[m0].sum(), wf.amplitudes[m1].sum()
 
 
@@ -534,10 +540,23 @@ class MagicProbeResult:
     seed: int
 
 
-def _probe_kernels(delta_sq: float, axis: np.ndarray):
-    """Bell-pair and damping kernels of a magic probe, for every sample."""
-    return (_bell_amplitude(axis, axis[None, :], delta_sq),
-            _damping_kernel(math.asinh(delta_sq), axis))
+def _probe_kernels(delta_sq: float, grid: Grid):
+    """Bell-pair and damping kernels of a magic probe, for every sample.
+
+    On the grid the Bell kernel's first factor depends only on i + j and
+    its second only on j - i, so both are read from one qunaught table on
+    the 4h + 1 points k*dx/sqrt2, k = -2h..2h:
+    bell[i, j] = table[i + j] * table[j - i + 2h], the same values as
+    ``_bell_amplitude(axis, axis[None, :], delta_sq)`` up to rounding.
+    Row i of the table's sliding windows is table[i:i + N], so the windows
+    are the Hankel factor and, in reverse row order, the Toeplitz one.
+    """
+    h = grid.half_steps
+    table = qunaught_amplitude(np.arange(-2 * h, 2 * h + 1)
+                               * (grid.dx / math.sqrt(2)), delta_sq)
+    windows = np.lib.stride_tricks.sliding_window_view(table, grid.size)
+    bell = windows * windows[::-1]
+    return bell, _damping_kernel(math.asinh(delta_sq), grid.axis)
 
 
 def _probe_sample(alpha: complex, grid: Grid, bell: np.ndarray,
@@ -570,7 +589,7 @@ def magic_probe_single(delta_sq: float, alpha: complex,
     """Project one half of a qunaught Bell pair onto the coherent value
     alpha and report the logical content of the other half."""
     grid = grid or default_grid()
-    return _probe_sample(alpha, grid, *_probe_kernels(delta_sq, grid.axis))
+    return _probe_sample(alpha, grid, *_probe_kernels(delta_sq, grid))
 
 
 def heterodyne_magic_probe(delta_sq: float, samples: int,
@@ -588,7 +607,7 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     grid = grid or default_grid()
     rng = np.random.default_rng(seed)
     std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
-    kernels = _probe_kernels(delta_sq, grid.axis)
+    kernels = _probe_kernels(delta_sq, grid)
     records = []
     for _ in range(samples):
         alpha = complex(rng.normal(0, std), rng.normal(0, std))

@@ -177,9 +177,12 @@ EIGHTSPLITTER_SIGNS = (
 )
 
 
-def verify_eightsplitter(signs=EIGHTSPLITTER_SIGNS) -> list:
+def verify_eightsplitter(signs=None) -> list:
     """Exact row-by-row comparison of the composed level-2 transfer matrix
-    against a reference sign pattern.  Returns one verdict per row."""
+    against a reference sign pattern, by default ``EIGHTSPLITTER_SIGNS`` as
+    it stands at call time.  Returns one verdict per row."""
+    if signs is None:
+        signs = EIGHTSPLITTER_SIGNS
     composed = x_block(build_network(2))
     report = []
     for i, (row, ref) in enumerate(zip(composed.rows, signs)):

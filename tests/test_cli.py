@@ -206,10 +206,14 @@ def test_lattice_export_rejects_m_zero(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: m must be >= 1")
 
 
-def test_error_is_single_line(runner):
-    result = runner.invoke(cli, ["lattice", "export", "--n", "0", "--m", "1",
-                                 "--k", "0", "--t", "4", "--json", "-"])
-    assert result.exit_code != 0
+def test_error_is_single_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "export", "--n", "0", "--m", "1", "--k", "0",
+              "--t", "4", "--json", "-"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: n must be >= 1, got 0\n"
 
 
 def test_suite_has_enough_identities():

@@ -16,6 +16,7 @@ from octorail.gkp import (SQRT_PI, Encoding, Grid, GridWavefunction,
                           make_qunaught, p_error, p_error_tail_oracle,
                           rectangular_encoding, square_encoding,
                           transform_angles, transpose_map)
+from octorail.gkp import _bell_amplitude, _code_masks, _probe_kernels
 from octorail.phasespace import (SymplecticMap, make_rotation, make_shear,
                                  make_squeeze)
 
@@ -346,6 +347,38 @@ def test_heterodyne_probe_equals_single_sample_calls(delta_sq, seed):
         assert record.bloch == single.bloch
         assert record.h_axis_distance == single.h_axis_distance
         assert record.projection_fidelity == single.projection_fidelity
+
+@pytest.mark.parametrize("make_grid", [default_grid, fine_grid])
+def test_probe_bell_kernel_matches_direct_form(make_grid):
+    """The kernel gathered from one 1-D qunaught table equals the Bell
+    amplitude evaluated on the full argument grids."""
+    grid = make_grid()
+    axis = grid.axis
+    for db in range(7, 14):
+        delta_sq = 10 ** (-db / 10)
+        direct = _bell_amplitude(axis, axis[None, :], delta_sq)
+        bell, _ = _probe_kernels(delta_sq, grid)
+        assert bell.shape == direct.shape
+        assert (np.abs(bell - direct).max()
+                <= 1e-12 * np.abs(direct).max()), db
+
+
+@pytest.mark.parametrize("make_grid", [default_grid, fine_grid])
+def test_code_masks_cached_and_read_only(make_grid):
+    grid = make_grid()
+    masks = _code_masks(grid)
+    assert _code_masks(Grid(grid.dx, grid.half_steps)) is masks
+    ratio = grid.axis / SQRT_PI
+    for j, mask in enumerate(masks):
+        r = np.remainder(ratio - j, 2.0)
+        fresh = (np.isclose(r, 0.0, atol=1e-9)
+                 | np.isclose(r, 2.0, atol=1e-9))
+        assert np.array_equal(mask, fresh)
+        assert mask.any()
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+
 
 def test_probe_symmetric_under_outcome_sign_flip():
     a = magic_probe_single(0.05, 0.37 - 0.21j)

@@ -23,6 +23,18 @@ def test_eight_mode_transfer_matrix_rows():
     assert [r["pass"] for r in report] == [True] * 8
 
 
+def test_default_sign_table_is_read_at_call_time(monkeypatch):
+    from octorail import networks
+
+    signs = [list(r) for r in EIGHTSPLITTER_SIGNS]
+    signs[4][0] = -signs[4][0]
+    monkeypatch.setattr(networks, "EIGHTSPLITTER_SIGNS",
+                        tuple(tuple(r) for r in signs))
+    report = verify_eightsplitter()
+    assert [r["pass"] for r in report] == [True] * 4 + [False] + [True] * 3
+    assert report[4]["name"] == "S matrix row 5"
+
+
 def test_transfer_matrix_entries_exact():
     s = x_block(build_network(2))
     for row, ref in zip(s.rows, EIGHTSPLITTER_SIGNS):
