@@ -61,12 +61,29 @@ def _write_csv(path, config, header, rows):
 
 _ANGLE_CASES = ((0.1, 1.2), (-0.7, 0.4))
 
-# 0-based input-mode support of each combination (coefficient 1/sqrt2)
-_STABILIZER_EXPECTED = {
-    "bulk-X": [(1, 2, 5, 6)],
-    "boundary-V": [(1, 5), (2, 6)],
-    "boundary-H": [(1, 6), (2, 5)],
-}
+
+def _verdict(name, ok, detail="exact"):
+    """A report entry whose detail is a fixed string while the check
+    passes and ``mismatch`` when it fails."""
+    return {"name": name, "pass": bool(ok),
+            "detail": detail if ok else "mismatch"}
+
+
+def _data_basis_verdicts():
+    """The 20 quadrature relations and 2 outcome regroupings of the data
+    bases, each as (role, output, status, extra): ``extra`` holds the diff
+    and derived record of a relation that is not exact."""
+    for role in ("even-data", "odd-data"):
+        for check in surface.derive_quadrature_relations(role):
+            extra = {}
+            if check.diff:
+                extra["diff"] = check.diff
+            if check.derived_displacement is not None:
+                extra["derived_record"] = {
+                    k: str(v) for k, v in check.derived_displacement.items()}
+            yield role, check.relation.output_label, check.status, extra
+        yield (role, "regrouping",
+               "exact" if surface.verify_regrouping(role) else "mismatch", {})
 
 
 def _check_angle_identity(name, encoding, theta1, theta2):
@@ -92,14 +109,13 @@ def run_verification_suites():
     report = []
 
     # eightsplitter transfer matrix, row by row, against the sign table
-    report += [{"name": r["name"], "pass": r["pass"], "detail": "exact"}
+    report += [_verdict(r["name"], r["pass"])
                for r in networks.verify_eightsplitter()]
 
     # layer commutation
     comm = networks.check_layer_commutation(networks.build_network(2))
     for pair, ok in comm["pairs"].items():
-        report.append({"name": f"layer commutation {pair[0]}-{pair[1]}",
-                       "pass": bool(ok), "detail": "exact"})
+        report.append(_verdict(f"layer commutation {pair[0]}-{pair[1]}", ok))
 
     # gate tables
     for row in gates.verify_gate_tables():
@@ -165,24 +181,21 @@ def run_verification_suites():
         u @ gkp.transpose_map(u), hx, "H"))
 
     # macronode data-qubit quadrature relations and outcome regroupings
-    for role in ("even-data", "odd-data"):
-        for check in surface.derive_quadrature_relations(role):
-            report.append({"name": f"quadrature relation {role} "
-                                   f"{check.relation.output_label}",
-                           "pass": check.exact, "detail": check.status})
-        report.append({"name": f"outcome regrouping {role}",
-                       "pass": surface.verify_regrouping(role),
-                       "detail": "exact"})
+    for role, output, status, _ in _data_basis_verdicts():
+        name = (f"outcome regrouping {role}" if output == "regrouping"
+                else f"quadrature relation {role} {output}")
+        report.append({"name": name, "pass": status == "exact",
+                       "detail": status})
 
     # stabilizer combinations by exact row arithmetic
-    for kind, slots in _STABILIZER_EXPECTED.items():
+    for kind, table in surface.STABILIZERS.items():
         combos = surface.stabilizer_combination(kind)
-        for idx, ((_, inputs), support) in enumerate(zip(combos, slots)):
+        for idx, ((_, inputs), (_, support)) in enumerate(zip(combos, table)):
             want = [surface.HALF_SQRT2 if j in support else surface.ZERO
                     for j in range(8)]
-            ok = list(inputs) == want
-            report.append({"name": f"stabilizer combination {kind} #{idx + 1}",
-                           "pass": bool(ok), "detail": "coefficient 1/sqrt2"})
+            report.append(_verdict(f"stabilizer combination {kind} #{idx + 1}",
+                                   list(inputs) == want,
+                                   "coefficient 1/sqrt2"))
     return report
 
 
@@ -377,21 +390,8 @@ def surface_verify(json_path):
     """Re-derive all 20 reference quadrature relations and both outcome
     regroupings from the exact macronode model; exit nonzero if any entry
     differs from the reference tables (non-exact entries carry a diff)."""
-    entries = []
-    for role in ("even-data", "odd-data"):
-        for check in surface.derive_quadrature_relations(role):
-            entry = {"role": role,
-                     "output": check.relation.output_label,
-                     "status": check.status}
-            if check.diff:
-                entry["diff"] = check.diff
-            if check.derived_displacement is not None:
-                entry["derived_record"] = {
-                    k: str(v) for k, v in check.derived_displacement.items()}
-            entries.append(entry)
-        entries.append({"role": role, "output": "regrouping",
-                        "status": "exact" if surface.verify_regrouping(role)
-                        else "mismatch"})
+    entries = [{"role": role, "output": output, "status": status, **extra}
+               for role, output, status, extra in _data_basis_verdicts()]
     _echo_json({"relations": entries}, json_path)
     bad = [e for e in entries if e["status"] != "exact"]
     if bad:

@@ -16,6 +16,7 @@ shear decomposition identities it must satisfy).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -432,6 +433,51 @@ def _bell_amplitude(v, xb, delta_sq):
             * qunaught_amplitude((xb - v[:, None]) / s2, delta_sq))
 
 
+def _half_step_points(grid: Grid) -> np.ndarray:
+    """The 4h + 1 points k*dx/sqrt2, k = -2h..2h, at which the rotated
+    coordinates (x +- y)/sqrt2 of two grid points fall."""
+    h = grid.half_steps
+    return np.arange(-2 * h, 2 * h + 1) * (grid.dx / math.sqrt(2))
+
+
+def _hankel_toeplitz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The N x N product a[i + j] * b[j - i + N - 1] of two tables of
+    2N - 1 entries.  Row i of a table's sliding windows is table[i:i + N],
+    so the windows are the Hankel factor and, in reverse row order, the
+    Toeplitz one."""
+    n = (len(a) + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(a, n) * windows(b, n)[::-1]
+
+
+def _interpolant(wf: GridWavefunction):
+    """Cubic-spline interpolant of the amplitudes, zero off the grid."""
+    spline = CubicSpline(wf.grid.axis, wf.amplitudes, extrapolate=False)
+
+    def input_at(points):
+        vals = spline(points)
+        return np.where(np.isnan(vals), 0.0, vals)
+
+    return input_at
+
+
+def _x_marginal(input_at, grid: Grid, delta_sq: float) -> np.ndarray:
+    """Unnormalized probabilities of the x outcome m1 = axis[i].
+
+    The conditional block at axis[i] is input_at((axis[i] + axis[r])/sqrt2)
+    times the Bell amplitude at (axis[r] - axis[i])/sqrt2 against the grid,
+    and both rotated coordinates are half-step points: index i + r and
+    r - i + 2h.  So the weight, the block's squared norm, is the row sum of
+    F[i + r] * G[r - i + 2h] with F the input's and G the Bell pair's
+    squared magnitudes (summed over the grid) on those points.
+    """
+    points = _half_step_points(grid)
+    f = np.abs(input_at(points)) ** 2
+    g = (np.abs(_bell_amplitude(points, grid.axis[None, :], delta_sq))
+         ** 2).sum(axis=1)
+    return _hankel_toeplitz(f, g).sum(axis=1)
+
+
 def knill_step(input_wf: GridWavefunction, delta_sq: float,
                forced_outcomes: tuple | None = None,
                seed: int | None = None) -> KnillResult:
@@ -448,41 +494,24 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
     grid = input_wf.grid
     axis = grid.axis
     s2 = math.sqrt(2)
-    amp_in = input_wf.amplitudes
+    input_at = _interpolant(input_wf)
 
-    spline = CubicSpline(axis, amp_in, extrapolate=False)
-
-    def input_at(points):
-        vals = spline(points)
-        return np.where(np.isnan(vals), 0.0, vals)
-
-    if forced_outcomes is not None:
-        m1, m2 = forced_outcomes
-    else:
+    if forced_outcomes is None:
         rng = np.random.default_rng(seed)
-        # marginal of the x outcome on the input port
-        weights = np.empty(grid.size)
-        for i, x_in in enumerate(axis):
-            u = (x_in + axis) / s2
-            v = (axis - x_in) / s2
-            block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :],
-                                                           delta_sq)
-            weights[i] = (np.abs(block) ** 2).sum()
-        weights /= weights.sum()
-        m1 = float(rng.choice(axis, p=weights))
+        weights = _x_marginal(input_at, grid, delta_sq)
+        m1 = float(rng.choice(axis, p=weights / weights.sum()))
+    else:
+        m1, m2 = forced_outcomes
+    u = (m1 + axis) / s2
+    v = (axis - m1) / s2
+    block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :], delta_sq)
+    if forced_outcomes is None:
         # conditional distribution of the p outcome on the ancilla port
-        u = (m1 + axis) / s2
-        v = (axis - m1) / s2
-        block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :],
-                                                       delta_sq)
         spectrum = np.fft.fft(block, axis=0)
         p_axis = 2 * math.pi * np.fft.fftfreq(grid.size, grid.dx)
         pw = (np.abs(spectrum) ** 2).sum(axis=1)
         pw /= pw.sum()
         m2 = float(rng.choice(p_axis, p=pw))
-    u = (m1 + axis) / s2
-    v = (axis - m1) / s2
-    block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :], delta_sq)
     out = np.exp(-1j * m2 * axis) @ block
     return KnillResult(GridWavefunction(grid, out).normalized(), (m1, m2))
 
@@ -512,15 +541,10 @@ def knill_oracle(input_wf: GridWavefunction, delta_sq: float,
 # --------------------------------------------------------------------------
 
 #: Bloch axes whose +-1 eigenstates are Clifford images of the
-#: Hadamard-eigenstate magic states (all two-component diagonal axes).
-_H_TYPE_AXES = []
-for _i in range(3):
-    for _j in range(_i + 1, 3):
-        for _si in (1, -1):
-            for _sj in (1, -1):
-                _v = np.zeros(3)
-                _v[_i], _v[_j] = _si / math.sqrt(2), _sj / math.sqrt(2)
-                _H_TYPE_AXES.append(_v)
+#: Hadamard-eigenstate magic states: the 12 unit vectors with two
+#: components +-1/sqrt2 and one zero, one per row.
+_H_TYPE_AXES = np.array([v for v in itertools.product((-1, 0, 1), repeat=3)
+                         if v.count(0) == 1]) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -545,18 +569,13 @@ def _probe_kernels(delta_sq: float, grid: Grid):
 
     On the grid the Bell kernel's first factor depends only on i + j and
     its second only on j - i, so both are read from one qunaught table on
-    the 4h + 1 points k*dx/sqrt2, k = -2h..2h:
-    bell[i, j] = table[i + j] * table[j - i + 2h], the same values as
-    ``_bell_amplitude(axis, axis[None, :], delta_sq)`` up to rounding.
-    Row i of the table's sliding windows is table[i:i + N], so the windows
-    are the Hankel factor and, in reverse row order, the Toeplitz one.
+    the half-step points: bell[i, j] = table[i + j] * table[j - i + 2h],
+    the same values as ``_bell_amplitude(axis, axis[None, :], delta_sq)``
+    up to rounding.
     """
-    h = grid.half_steps
-    table = qunaught_amplitude(np.arange(-2 * h, 2 * h + 1)
-                               * (grid.dx / math.sqrt(2)), delta_sq)
-    windows = np.lib.stride_tricks.sliding_window_view(table, grid.size)
-    bell = windows * windows[::-1]
-    return bell, _damping_kernel(math.asinh(delta_sq), grid.axis)
+    table = qunaught_amplitude(_half_step_points(grid), delta_sq)
+    return (_hankel_toeplitz(table, table),
+            _damping_kernel(math.asinh(delta_sq), grid.axis))
 
 
 def _probe_sample(alpha: complex, grid: Grid, bell: np.ndarray,
@@ -575,7 +594,7 @@ def _probe_sample(alpha: complex, grid: Grid, bell: np.ndarray,
              (2 * (np.conj(c0) * c1).imag / norm),
              (abs(c0) ** 2 - abs(c1) ** 2) / norm)
     r = np.array(bloch)
-    dist = min(float(np.linalg.norm(r - u)) / 2 for u in _H_TYPE_AXES)
+    dist = float(np.linalg.norm(r - _H_TYPE_AXES, axis=1).min()) / 2
     # projection onto the approximate code manifold: ideal comb projection
     # followed by the same finite-squeezing damping as the source states
     proj = damping @ code_projection(wf).amplitudes

@@ -536,32 +536,38 @@ def derive_quadrature_relations(role: str) -> list[RelationCheck]:
 # stabilizer extraction
 # --------------------------------------------------------------------------
 
+_HALF = ONE / 2
+
+#: The printed stabilizer measurements: for each kind, one (outcome
+#: weights, input modes) pair per combination, where the input modes are
+#: the 0-based modes the combination reads, each with coefficient 1/sqrt2.
+STABILIZERS = {
+    "bulk-X": (((0, 0, 0, 0, -1, 0, 0, 1), (1, 2, 5, 6)),),
+    "boundary-V": (((0, 0, 0, 0, -_HALF, _HALF, -_HALF, _HALF), (1, 5)),
+                   ((0, 0, 0, 0, -_HALF, -_HALF, _HALF, _HALF), (2, 6))),
+    "boundary-H": (((0, _HALF, -_HALF, 0, -_HALF, 0, 0, _HALF), (1, 6)),
+                   ((0, -_HALF, _HALF, 0, -_HALF, 0, 0, _HALF), (2, 5))),
+}
+
+
 def stabilizer_combination(kind: str):
     """Outcome weight vectors and the induced input-quadrature coefficient
-    vectors for the printed stabilizer measurements, by exact row
-    arithmetic on the splitter transfer matrix.
+    vectors for the printed stabilizer measurements (:data:`STABILIZERS`),
+    by exact row arithmetic on the splitter transfer matrix.
 
     Returns a list of (outcome_weights, input_coefficients) pairs, both
     length-8 tuples of ExactCoeff.
     """
+    if kind not in STABILIZERS:
+        raise ValueError(f"unknown stabilizer kind: {kind!r}")
     s = eightsplitter_matrix()
-    half = ONE / 2
-
-    def combo(weights):
-        weights = [w * ONE for w in weights]
+    combos = []
+    for weights, _ in STABILIZERS[kind]:
+        weights = tuple(w * ONE for w in weights)
         inputs = tuple(sum((w * s[d][j] for d, w in enumerate(weights)
                             if w), ZERO) for j in range(8))
-        return tuple(weights), inputs
-
-    if kind == "bulk-X":
-        return [combo([0, 0, 0, 0, -1, 0, 0, 1])]
-    if kind == "boundary-V":
-        return [combo([0, 0, 0, 0, -half, half, -half, half]),
-                combo([0, 0, 0, 0, -half, -half, half, half])]
-    if kind == "boundary-H":
-        return [combo([0, half, -half, 0, -half, 0, 0, half]),
-                combo([0, -half, half, 0, -half, 0, 0, half])]
-    raise ValueError(f"unknown stabilizer kind: {kind!r}")
+        combos.append((weights, inputs))
+    return combos
 
 
 def extract_stabilizer(outcomes, kind: str):

@@ -31,6 +31,7 @@ def test_verify_all_fault_injection(runner, monkeypatch):
     result = runner.invoke(cli, ["verify-all"])
     assert result.exit_code == 1
     assert "S matrix row 5" in result.output
+    assert result.stderr == "error: S matrix row 5 failed (mismatch)\n"
 
 
 def test_verify_all_json_file(runner, tmp_path):
@@ -103,9 +104,8 @@ def test_surface_verify_reports_reference_diffs(runner):
     assert not any("diff" in e for e in entries)
 
 
-def test_surface_verify_fails_on_printed_odd_p2_record(runner, monkeypatch):
-    # odd-data p2' as printed (m1 = +2) is a record mismatch: the command
-    # must report it with a diff and the solver's record, and exit 1
+def _patch_printed_odd_p2_record(monkeypatch):
+    # odd-data p2' as printed (m1 = +2) is a record mismatch
     from octorail import surface
 
     printed = [2, 0, -1, -1, 1, 1, 0, -2]
@@ -116,6 +116,12 @@ def test_surface_verify_fails_on_printed_odd_p2_record(runner, monkeypatch):
         if r.output_label == "p2'" else r
         for r in surface.ODD_DATA_RELATIONS)
     monkeypatch.setitem(surface._DATA_RELATIONS, "odd-data", table)
+
+
+def test_surface_verify_fails_on_printed_odd_p2_record(runner, monkeypatch):
+    # the command must report the printed record with a diff and the
+    # solver's record, and exit 1
+    _patch_printed_odd_p2_record(monkeypatch)
     result = runner.invoke(cli, ["surface", "verify-appendix-c"])
     assert result.exit_code == 1
     entries = json.loads(result.stdout)["relations"]
@@ -124,6 +130,18 @@ def test_surface_verify_fails_on_printed_odd_p2_record(runner, monkeypatch):
         ("odd-data", "p2'", "record-mismatch")]
     assert bad[0]["diff"] and bad[0]["derived_record"]
     assert "1 relations differ" in result.stderr
+
+
+def test_verify_all_fails_on_printed_odd_p2_record(runner, monkeypatch):
+    _patch_printed_odd_p2_record(monkeypatch)
+    result = runner.invoke(cli, ["verify-all"])
+    assert result.exit_code == 1
+    report = json.loads(result.stdout)["identities"]
+    bad = [r for r in report if not r["pass"]]
+    assert bad == [{"name": "quadrature relation odd-data p2'",
+                    "pass": False, "detail": "record-mismatch"}]
+    assert result.stderr == ("error: quadrature relation odd-data p2' "
+                             "failed (record-mismatch)\n")
 
 
 def test_surface_memory_csv_reproducible(runner, tmp_path):

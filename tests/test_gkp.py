@@ -16,7 +16,8 @@ from octorail.gkp import (SQRT_PI, Encoding, Grid, GridWavefunction,
                           make_qunaught, p_error, p_error_tail_oracle,
                           rectangular_encoding, square_encoding,
                           transform_angles, transpose_map)
-from octorail.gkp import _bell_amplitude, _code_masks, _probe_kernels
+from octorail.gkp import (_bell_amplitude, _code_masks, _interpolant,
+                          _probe_kernels, _x_marginal)
 from octorail.phasespace import (SymplecticMap, make_rotation, make_shear,
                                  make_squeeze)
 
@@ -306,6 +307,52 @@ def test_knill_step_sampled_outcomes_reproducible():
     b = knill_step(qn, 0.05, seed=5)
     assert a.outcomes == b.outcomes
     assert np.array_equal(a.output.amplitudes, b.output.amplitudes)
+
+
+@pytest.mark.parametrize("seed, outcomes", [
+    pytest.param(5, (2.7694591420398686, -1.7632701521961611), id="seed5"),
+    pytest.param(11, (-3.5449077018110318, 6.171445532686564), id="seed11"),
+])
+def test_knill_step_sampled_outcomes_pinned(seed, outcomes):
+    # seeded (m1, m2) pinned: the marginal's weights may move only in
+    # rounding, which must not move a draw
+    qn = make_qunaught(0.05)
+    assert knill_step(qn, 0.05, seed=seed).outcomes == outcomes
+
+
+def _x_marginal_loop_row(input_at, axis, delta_sq, i):
+    """Weight of the x outcome axis[i] as the squared norm of the full
+    conditional block at that outcome."""
+    s2 = math.sqrt(2)
+    u = (axis[i] + axis) / s2
+    v = (axis - axis[i]) / s2
+    block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :], delta_sq)
+    return (np.abs(block) ** 2).sum()
+
+
+@pytest.mark.parametrize("make_grid, n_rows", [
+    pytest.param(default_grid, 16, id="default_grid"),
+    pytest.param(fine_grid, 8, id="fine_grid"),
+])
+def test_x_marginal_matches_outcome_loop(make_grid, n_rows):
+    """The marginal gathered from two 1-D tables equals the per-outcome
+    block sums on evenly spread rows and on the heaviest rows."""
+    grid = make_grid()
+    axis = grid.axis
+    delta_sq = 0.05
+    for wf in (make_qunaught(delta_sq, grid),
+               make_gaussian_wavepacket(grid, x0=1.3, p0=-0.4, variance=0.8)):
+        input_at = _interpolant(wf)
+        weights = _x_marginal(input_at, grid, delta_sq)
+        assert weights.shape == (grid.size,)
+        rows = np.unique(np.r_[
+            np.linspace(0, grid.size - 1, n_rows // 2).astype(int),
+            np.argsort(weights)[-n_rows // 2:]])
+        assert len(rows) >= n_rows
+        loop = np.array([_x_marginal_loop_row(input_at, axis, delta_sq, i)
+                         for i in rows])
+        assert (np.abs(weights[rows] - loop).max()
+                <= 1e-12 * weights.max())
 
 
 # --------------------------------------------------------------------------

@@ -268,6 +268,13 @@ def test_stabilizer_boundary_separations():
                 assert float(c) == pytest.approx(expect)
 
 
+def test_stabilizer_combination_rejects_unknown_kind():
+    # the two-ancilla kinds are products of bulk-X values, not combinations
+    for kind in ("double", "twist", "bulk-Z", ""):
+        with pytest.raises(ValueError, match="unknown stabilizer kind"):
+            stabilizer_combination(kind)
+
+
 def test_extract_stabilizer_values():
     outcomes = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     [bulk] = extract_stabilizer(outcomes, "bulk-X")
