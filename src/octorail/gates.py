@@ -1,11 +1,17 @@
 """Teleported-gate extraction from macronode splitter networks.
 
-The gate induced by a choice of homodyne angles is computed by exact linear
-constraint elimination in the ideal (infinitely squeezed ancilla) limit:
-Bell-pair nullifiers plus measured-quadrature projections form a square
-linear system whose solution expresses the output quadratures as a linear
-map of the input quadratures (the induced symplectic gate) plus a linear
-map of the measurement outcomes (the displacement rule).
+The gate induced by a choice of homodyne angles is computed in the ideal
+(infinitely squeezed ancilla) limit.  Each logical wire enters the network
+on an input mode; its Bell ancilla enters on a Bell mode, whose partner is
+the output.  The Bell nullifiers x_b = x_out and p_b = -p_out are
+substituted, leaving one square system of n = 2k rows, one per detector:
+detector d measures sum_j S[d][j] (cos t_d x_j + sin t_d p_j) = m_d.  Its
+unknowns are the Bell-mode quadratures (x_b, p_b); the input quadratures
+and the outcomes m form the right-hand side.  The solution with its p rows
+negated is the output as a linear map of the inputs (the induced symplectic
+gate) plus a linear map of the outcomes (the displacement rule).  Angles
+that are multiples of pi/4 are solved exactly over Q(sqrt2), others in
+floating point.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class TeleportedGate:
     displacement_exact: ExactMatrix | None = None
 
 
-# cos(k*pi/4), sin(k*pi/4) in Q(sqrt2), k mod 8
+# cos(k*pi/4) in Q(sqrt2), k mod 8; sin(k*pi/4) = cos((k-2)*pi/4)
 _EIGHTH = {
     0: ONE, 1: HALF_SQRT2, 2: ZERO, 3: -HALF_SQRT2,
     4: -ONE, 5: -HALF_SQRT2, 6: ZERO, 7: HALF_SQRT2,
@@ -75,63 +81,6 @@ def _eighth_multiple(theta: float):
     if abs(k - kr) < 1e-12:
         return kr % 8
     return None
-
-
-def _cos_sin_exact(theta: float):
-    k = _eighth_multiple(theta)
-    if k is None:
-        return None
-    return _EIGHTH[k], _EIGHTH[(k + 6) % 8]  # cos k, sin k = cos(k-2)
-
-
-def _solve_constraints(sx, angles, cos_sin, zero, one, solve, wiring):
-    """Shared exact/float elimination.
-
-    sx: N x N x-block entries accessor sx[i][j]; cos_sin(theta) -> (c, s);
-    solve(A, rhs_matrix) -> solution matrix.  Returns (A_out, B_out) rows
-    ordered (x_out block, p_out block), columns (x_in block, p_in block)
-    and (m_1..m_N).
-    """
-    n = len(angles)
-    k = n // 2
-    input_modes = [w[0] for w in wiring]
-    bell_modes = [w[1] for w in wiring]
-    in_col = {m: i for i, m in enumerate(input_modes)}
-    bell_col = {m: i for i, m in enumerate(bell_modes)}
-    # unknowns: [x_b 0..k-1, p_b, x_o, p_o]
-    nu = 4 * k
-    A = [[zero] * nu for _ in range(nu)]
-    C = [[zero] * (2 * k) for _ in range(nu)]   # input-symbol coefficients
-    D = [[zero] * n for _ in range(nu)]         # outcome coefficients
-    row = 0
-    for i in range(k):  # Bell nullifiers: x_b = x_o, p_b = -p_o
-        A[row][i] = one
-        A[row][2 * k + i] = -one
-        row += 1
-        A[row][k + i] = one
-        A[row][3 * k + i] = one
-        row += 1
-    for d in range(n):  # measured quadratures
-        c, s = cos_sin(angles[d])
-        for j in range(n):
-            coef_x = sx[d][j] * c
-            coef_p = sx[d][j] * s
-            if j in bell_col:
-                A[row][bell_col[j]] = A[row][bell_col[j]] + coef_x
-                A[row][k + bell_col[j]] = A[row][k + bell_col[j]] + coef_p
-            else:
-                C[row][in_col[j]] = C[row][in_col[j]] - coef_x
-                C[row][k + in_col[j]] = C[row][k + in_col[j]] - coef_p
-        D[row][d] = one
-        row += 1
-    # A u = -C s + D m  (C stored negated above)
-    rhs = [crow + drow for crow, drow in zip(C, D)]
-    sol = solve(A, rhs)
-    # output rows: x_o block then p_o block
-    out_rows = list(range(2 * k, 4 * k))
-    a_out = [[sol[r][c] for c in range(2 * k)] for r in out_rows]
-    b_out = [[sol[r][2 * k + c] for c in range(n)] for r in out_rows]
-    return a_out, b_out
 
 
 @lru_cache(maxsize=8)
@@ -161,37 +110,43 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     if sorted([m for w in wiring for m in w]) != list(range(n)):
         raise ValueError("wiring must partition the network modes")
     k = n // 2
-    exact_ok = all(_eighth_multiple(t) is not None for t in angles)
-    if exact_ok:
-        def solve(a_rows, rhs_rows):
-            return solve_exact(ExactMatrix(a_rows), ExactMatrix(rhs_rows)).rows
-
+    eighths = [_eighth_multiple(t) for t in angles]
+    exact = None not in eighths
+    if exact:
+        sx = x_block(network).rows
+        cos_sin = [(_EIGHTH[e], _EIGHTH[(e + 6) % 8]) for e in eighths]
+    else:  # angles such as arctan 2
+        sx = _float_x_block(network)
+        cos_sin = [(math.cos(t), math.sin(t)) for t in angles]
+    # row d: detector d's projection, Bell-mode unknowns (x_b, p_b) on the
+    # left, input quadratures and outcome m_d on the right
+    bell = [b for _, b in wiring]
+    inputs = [a for a, _ in wiring]
+    m_rows, rhs_rows = [], []
+    for d, (c, s) in enumerate(cos_sin):
+        row = sx[d]
+        m_rows.append([row[j] * c for j in bell] + [row[j] * s for j in bell])
+        rhs_rows.append([-(row[j] * c) for j in inputs]
+                        + [-(row[j] * s) for j in inputs]
+                        + [int(i == d) for i in range(n)])
+    # The nullifiers x_b = x_out and p_b = -p_out give the output: the
+    # solution with its p rows negated.
+    if exact:
         try:
-            a_out, b_out = _solve_constraints(
-                x_block(network).rows, angles, _cos_sin_exact, ZERO, ONE,
-                solve, wiring)
+            sol = solve_exact(ExactMatrix(m_rows), ExactMatrix(rhs_rows)).rows
         except ValueError as exc:
             raise NonImplementableGateError(str(exc)) from exc
-        a_exact = ExactMatrix(a_out)
-        b_exact = ExactMatrix(b_out)
-        gate_map = SymplecticMap(k, a_exact.to_float())
-        return TeleportedGate(gate_map, b_exact.to_float(), wiring,
-                              a_exact, b_exact)
-    # float path (angles such as arctan 2)
-    sxf = _float_x_block(network)
-
-    def solve_f(a_rows, rhs_rows):
-        a = np.array(a_rows, dtype=float)
-        rhs = np.array(rhs_rows, dtype=float)
-        if abs(np.linalg.det(a)) < 1e-12:
-            raise NonImplementableGateError("singular constraint system")
-        return np.linalg.solve(a, rhs)
-
-    a_out, b_out = _solve_constraints(
-        sxf, angles, lambda t: (math.cos(t), math.sin(t)),
-        0.0, 1.0, solve_f, wiring)
-    return TeleportedGate(SymplecticMap(k, np.array(a_out)),
-                          np.array(b_out), wiring)
+        out = sol[:k] + [[-e for e in r] for r in sol[k:]]
+        a_exact = ExactMatrix([r[:n] for r in out])
+        b_exact = ExactMatrix([r[n:] for r in out])
+        return TeleportedGate(SymplecticMap(k, a_exact.to_float()),
+                              b_exact.to_float(), wiring, a_exact, b_exact)
+    m = np.array(m_rows)
+    if abs(np.linalg.det(m)) < 1e-12:
+        raise NonImplementableGateError("singular constraint system")
+    out = np.linalg.solve(m, np.array(rhs_rows, dtype=float))
+    out[k:] *= -1.0
+    return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +231,10 @@ def verify_gate_tables() -> list[dict]:
         net = build_network(_TABLE_LEVELS[table])
         for angles, expected, label in rows:
             gate = induced_gate(net, angles)
+            max_dev = float(np.abs(gate.induced_map.matrix - expected).max())
             if gate.induced_exact is not None:
                 ok = np.array_equal(gate.induced_exact.to_float(), expected)
-                max_dev = float(np.abs(gate.induced_map.matrix - expected).max())
             else:
-                max_dev = float(np.abs(gate.induced_map.matrix - expected).max())
                 ok = max_dev <= 1e-10
             report.append({"table": table, "gate": label, "angles": angles,
                            "pass": bool(ok), "max_dev": max_dev})

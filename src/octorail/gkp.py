@@ -15,7 +15,6 @@ shear decomposition identities it must satisfy).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass

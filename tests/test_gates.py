@@ -1,4 +1,7 @@
+import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -105,3 +108,202 @@ def test_gate_tables_structure():
     assert set(GATE_TABLES) == {"two-detector", "four-detector",
                                 "eight-detector"}
     assert [len(v) for v in GATE_TABLES.values()] == [3, 5, 5]
+
+
+# ---------------------------------------------------------------------------
+# the full nullifier system as an independent oracle
+#
+# induced_gate substitutes the Bell nullifiers and solves n = 2k rows.  The
+# oracle keeps all 4k unknowns [x_b, p_b, x_out, p_out]: the 2k nullifier
+# rows x_b - x_out = 0 and p_b + p_out = 0, then one row per detector.  The
+# transfer matrix is the Kronecker power of one balanced beamsplitter.
+
+_LEVEL1_WIRING = ((1, 2), (3, 0))
+
+
+def _nullifier_system(s, cos_sin, wiring, zero, one):
+    """Rows [A | C | D] of A u = C (x_in, p_in) + D m over any field."""
+    n = len(s)
+    k = n // 2
+    if wiring is None:
+        wiring = [(2 * i, 2 * i + 1) for i in range(k)]
+    inp = {a: i for i, (a, _) in enumerate(wiring)}
+    bell = {b: i for i, (_, b) in enumerate(wiring)}
+    rows = [[zero] * (6 * k + n) for _ in range(4 * k)]
+    for i in range(k):
+        rows[2 * i][i], rows[2 * i][2 * k + i] = one, -one
+        rows[2 * i + 1][k + i], rows[2 * i + 1][3 * k + i] = one, one
+    for d, (c, sn) in enumerate(cos_sin):
+        r = rows[2 * k + d]
+        for j in range(n):
+            if j in bell:
+                r[bell[j]], r[k + bell[j]] = s[d][j] * c, s[d][j] * sn
+            else:
+                r[4 * k + inp[j]] = -(s[d][j] * c)
+                r[5 * k + inp[j]] = -(s[d][j] * sn)
+        r[6 * k + d] = one
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _sympy_field(level):
+    """QQ<sqrt2>, the level's transfer matrix over it, and cos(q*pi/4)."""
+    sympy = pytest.importorskip("sympy")
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+    bs = sympy.Matrix([[1, -1], [1, 1]]) / sympy.sqrt(2)
+    s = bs
+    for _ in range(level):
+        s = sympy.kronecker_product(bs, s)
+    s = [[field.from_sympy(e) for e in row] for row in s.tolist()]
+    cos = [field.from_sympy(sympy.cos(q * sympy.pi / 4)) for q in range(8)]
+    return field, s, cos
+
+
+def _sympy_oracle(level, eighths, wiring=None):
+    """(induced, displacement) rows over QQ<sqrt2> for angles q*pi/4, each
+    entry as a pair (a, b) of Fractions with value a + b*sqrt2; None when
+    the system is singular."""
+    from sympy.polys.matrices import DomainMatrix
+
+    field, s, cos = _sympy_field(level)
+    cos_sin = [(cos[q % 8], cos[(q - 2) % 8]) for q in eighths]
+    rows = _nullifier_system(s, cos_sin, wiring, field.zero, field.one)
+    k = len(s) // 2
+    reduced, pivots = DomainMatrix(
+        rows, (4 * k, len(rows[0])), field).rref()
+    if len(pivots) < 4 * k or pivots[-1] >= 4 * k:
+        return None
+
+    def ab(e):
+        c = [Fraction(int(x.numerator), int(x.denominator))
+             for x in e.to_list()]
+        b, a = [Fraction(0)] * (2 - len(c)) + c
+        return a, b
+
+    out = [[ab(e) for e in r[4 * k:]] for r in reduced.to_list()[2 * k:]]
+    return ([r[:2 * k] for r in out], [r[2 * k:] for r in out])
+
+
+def _exact_pairs(matrix):
+    return [[(e.a, e.b) for e in row] for row in matrix.rows]
+
+
+def _assert_matches_sympy(level, eighths, want, wiring=None):
+    angles = tuple(q * math.pi / 4 for q in eighths)
+    net = build_network(level)
+    if want is None:
+        with pytest.raises(NonImplementableGateError):
+            induced_gate(net, angles, wiring)
+        return
+    gate = induced_gate(net, angles, wiring)
+    assert _exact_pairs(gate.induced_exact) == want[0], eighths
+    assert _exact_pairs(gate.displacement_exact) == want[1], eighths
+
+
+def test_exact_table_rows_match_sympy_nullifier_system():
+    n_exact = 0
+    for table, rows in GATE_TABLES.items():
+        level = {"two-detector": 0, "four-detector": 1,
+                 "eight-detector": 2}[table]
+        for angles, _, label in rows:
+            eighths = [a / (math.pi / 4) for a in angles]
+            if any(abs(q - round(q)) > 1e-12 for q in eighths):
+                continue
+            eighths = [round(q) for q in eighths]
+            want = _sympy_oracle(level, eighths)
+            assert want is not None, label
+            _assert_matches_sympy(level, eighths, want)
+            n_exact += 1
+    assert n_exact == 8
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_every_quarter_pi_vector_matches_sympy_nullifier_system(level):
+    """Every angle vector of pi/4 multiples, raising ones included.  The
+    oracle solves the representatives in [0, pi); shifting angle d by pi
+    negates detector row d, so the oracle's answer for the shifted vector
+    is the same gate with outcome column d negated."""
+    n = 2 ** (level + 1)
+    raised = 0
+    for rep in itertools.product(range(4), repeat=n):
+        want = _sympy_oracle(level, rep)
+        raised += want is None
+        for shift in itertools.product((0, 1), repeat=n):
+            eighths = [q + 4 * t for q, t in zip(rep, shift)]
+            shifted = None if want is None else (want[0], [
+                [(-a, -b) if shift[d] else (a, b)
+                 for d, (a, b) in enumerate(row)] for row in want[1]])
+            _assert_matches_sympy(level, eighths, shifted)
+    assert 0 < raised < 4 ** n
+
+
+def test_rewired_quarter_pi_vectors_match_sympy_nullifier_system():
+    for eighths in ((0, 2, 0, 2), (1, 3, 6, 1), (2, 0, 0, 2), (7, 1, 3, 4)):
+        want = _sympy_oracle(1, eighths, _LEVEL1_WIRING)
+        _assert_matches_sympy(1, eighths, want, _LEVEL1_WIRING)
+
+
+def _float_oracle(level, angles, wiring=None):
+    bs = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
+    s = bs
+    for _ in range(level):
+        s = np.kron(bs, s)
+    rows = np.array(_nullifier_system(
+        s, [(math.cos(t), math.sin(t)) for t in angles], wiring, 0.0, 1.0))
+    k = len(s) // 2
+    sol = np.linalg.solve(rows[:, :4 * k], rows[:, 4 * k:])[2 * k:]
+    return sol[:, :2 * k], sol[:, 2 * k:]
+
+
+@pytest.mark.parametrize("level,wiring", [(0, None), (1, None), (2, None),
+                                          (1, _LEVEL1_WIRING)],
+                         ids=["level0", "level1", "level2", "level1-rewired"])
+def test_float_angles_match_numpy_nullifier_system(level, wiring):
+    rng = np.random.default_rng(11 + level)
+    net = build_network(level)
+    for _ in range(25):
+        angles = rng.uniform(-math.pi, math.pi, net.n_modes)
+        gate = induced_gate(net, angles, wiring)
+        assert gate.induced_exact is None
+        want_map, want_rule = _float_oracle(level, angles, wiring)
+        for got, want in ((gate.induced_map.matrix, want_map),
+                          (gate.displacement_rule, want_rule)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# level 0 against the closed forms V(theta1, theta2) and mu
+
+
+def _level0_angle_pairs():
+    rng = np.random.default_rng(5)
+    pairs = [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(20)]
+    return pairs + [row[0] for row in GATE_TABLES["two-detector"]]
+
+
+def test_level0_gate_is_teleported_gate_v():
+    net = build_network(0)
+    for t1, t2 in _level0_angle_pairs():
+        got = induced_gate(net, (t1, t2)).induced_map.matrix
+        want = teleported_gate_v(t1, t2).matrix
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_level0_displacement_rule_is_sqrt2_mu():
+    net = build_network(0)
+    rng = np.random.default_rng(6)
+    for t1, t2 in _level0_angle_pairs():
+        rule = induced_gate(net, (t1, t2)).displacement_rule
+        m = rng.normal(size=2)
+        mu = displacement_mu(m[0], m[1], t1, t2)
+        want = math.sqrt(2) * np.array([mu.real, mu.imag])
+        assert np.abs(rule @ m - want).max() <= 1e-12 * max(
+            1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0), (0.3, 0.3),
+                                    (0.3, 0.3 + math.pi)],
+                         ids=["exact", "float-equal", "float-pi-apart"])
+def test_degenerate_angles_are_not_implementable(angles):
+    with pytest.raises(NonImplementableGateError):
+        induced_gate(build_network(0), angles)
