@@ -11,7 +11,8 @@ and the outcomes m form the right-hand side.  The solution with its p rows
 negated is the output as a linear map of the inputs (the induced symplectic
 gate) plus a linear map of the outcomes (the displacement rule).  Angles
 that are multiples of pi/4 are solved exactly over Q(sqrt2), others in
-floating point.
+floating point.  The angle search solves the floating-point system for a
+whole batch of angle vectors at once, with its derivative in closed form.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ _EIGHTH = {
 
 
 def _eighth_multiple(theta: float):
-    """Return integer k with theta = k*pi/4 (mod 2pi), or None."""
+    """Return integer k with theta = k*pi/4 to within 1e-12*pi/4, or None."""
     k = theta / (math.pi / 4)
     kr = round(k)
     if abs(k - kr) < 1e-12:
-        return kr % 8
+        return kr
     return None
 
 
@@ -90,6 +91,30 @@ def _float_x_block(network: SplitterNetwork) -> np.ndarray:
     sxf = x_block(network).to_float()
     sxf.flags.writeable = False
     return sxf
+
+
+def _default_wiring(n: int) -> tuple:
+    """Logical wire k on mode 2k, its Bell ancilla on mode 2k+1."""
+    return tuple((2 * i, 2 * i + 1) for i in range(n // 2))
+
+
+def _detector_system(sx, wiring, cos, sin):
+    """The detector system M X = R at a batch of angle vectors.
+
+    ``cos`` and ``sin`` hold cos t_d and sin t_d, shape (batch, n).  Row d
+    of M is [S_bell[d] cos t_d | S_bell[d] sin t_d] over the Bell-mode
+    unknowns (x_b, p_b); row d of R is [-S_in[d] cos t_d | -S_in[d] sin t_d
+    | e_d] over the input quadratures and the outcomes.  Returns M, shape
+    (batch, n, n), and R, shape (batch, n, 2n).
+    """
+    n = sx.shape[0]
+    s_bell = sx[:, [b for _, b in wiring]]
+    s_in = sx[:, [a for a, _ in wiring]]
+    c, s = cos[..., None], sin[..., None]
+    m = np.concatenate([s_bell * c, s_bell * s], axis=-1)
+    rhs = np.concatenate([-(s_in * c), -(s_in * s),
+                          np.broadcast_to(np.eye(n), m.shape)], axis=-1)
+    return m, rhs
 
 
 def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGate:
@@ -105,48 +130,45 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     if len(angles) != n:
         raise ValueError("angle count must equal detector count")
     if wiring is None:
-        wiring = tuple((2 * i, 2 * i + 1) for i in range(n // 2))
+        wiring = _default_wiring(n)
     wiring = tuple((int(a), int(b)) for a, b in wiring)
     if sorted([m for w in wiring for m in w]) != list(range(n)):
         raise ValueError("wiring must partition the network modes")
     k = n // 2
+    # Row d is detector d's projection: Bell-mode unknowns (x_b, p_b) on the
+    # left, input quadratures and outcome m_d on the right.  The nullifiers
+    # x_b = x_out and p_b = -p_out give the output: the solution with its
+    # p rows negated.
     eighths = [_eighth_multiple(t) for t in angles]
-    exact = None not in eighths
-    if exact:
-        sx = x_block(network).rows
-        cos_sin = [(_EIGHTH[e], _EIGHTH[(e + 6) % 8]) for e in eighths]
-    else:  # angles such as arctan 2
-        sx = _float_x_block(network)
-        cos_sin = [(math.cos(t), math.sin(t)) for t in angles]
-    # row d: detector d's projection, Bell-mode unknowns (x_b, p_b) on the
-    # left, input quadratures and outcome m_d on the right
+    if None in eighths:  # angles such as arctan 2
+        m, rhs = _detector_system(
+            _float_x_block(network), wiring,
+            np.array([[math.cos(t) for t in angles]]),
+            np.array([[math.sin(t) for t in angles]]))
+        if abs(np.linalg.det(m[0])) < 1e-12:
+            raise NonImplementableGateError("singular constraint system")
+        out = np.linalg.solve(m[0], rhs[0])
+        out[k:] *= -1.0
+        return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
+    sx = x_block(network).rows
     bell = [b for _, b in wiring]
     inputs = [a for a, _ in wiring]
     m_rows, rhs_rows = [], []
-    for d, (c, s) in enumerate(cos_sin):
-        row = sx[d]
+    for d, e in enumerate(eighths):
+        row, c, s = sx[d], _EIGHTH[e % 8], _EIGHTH[(e + 6) % 8]
         m_rows.append([row[j] * c for j in bell] + [row[j] * s for j in bell])
         rhs_rows.append([-(row[j] * c) for j in inputs]
                         + [-(row[j] * s) for j in inputs]
                         + [int(i == d) for i in range(n)])
-    # The nullifiers x_b = x_out and p_b = -p_out give the output: the
-    # solution with its p rows negated.
-    if exact:
-        try:
-            sol = solve_exact(ExactMatrix(m_rows), ExactMatrix(rhs_rows)).rows
-        except ValueError as exc:
-            raise NonImplementableGateError(str(exc)) from exc
-        out = sol[:k] + [[-e for e in r] for r in sol[k:]]
-        a_exact = ExactMatrix([r[:n] for r in out])
-        b_exact = ExactMatrix([r[n:] for r in out])
-        return TeleportedGate(SymplecticMap(k, a_exact.to_float()),
-                              b_exact.to_float(), wiring, a_exact, b_exact)
-    m = np.array(m_rows)
-    if abs(np.linalg.det(m)) < 1e-12:
-        raise NonImplementableGateError("singular constraint system")
-    out = np.linalg.solve(m, np.array(rhs_rows, dtype=float))
-    out[k:] *= -1.0
-    return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
+    try:
+        sol = solve_exact(ExactMatrix(m_rows), ExactMatrix(rhs_rows)).rows
+    except ValueError as exc:
+        raise NonImplementableGateError(str(exc)) from exc
+    out = sol[:k] + [[-e for e in r] for r in sol[k:]]
+    a_exact = ExactMatrix([r[:n] for r in out])
+    b_exact = ExactMatrix([r[n:] for r in out])
+    return TeleportedGate(SymplecticMap(k, a_exact.to_float()),
+                          b_exact.to_float(), wiring, a_exact, b_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +276,119 @@ class AngleSolution:
     reachable: bool
 
 
-def _gate_matrix_or_none(net, angles):
-    try:
-        return induced_gate(net, angles).induced_map.matrix
-    except NonImplementableGateError:
-        return None
+#: Levenberg-Marquardt stopping tolerance (on the step, on the relative
+#: decrease of the cost and on the gradient) and iteration cap.
+_LM_TOL = 1e-14
+_LM_MAX_ITER = 200
+
+
+def _gate_residuals(sx, target, theta):
+    """Residuals of the induced gate against ``target`` at a batch of angle
+    vectors on the default wiring, their Jacobian, and which vectors give
+    a regular system.
+
+    With M X = R the detector system, X = M^-1 R, and only row d of M and
+    R depends on t_d, so dX/dt_d = M^-1[:, d] (dR_d - dM_d X).  dM_d and
+    dR_d are rows d of the system at t + pi/2.  One batched solve against
+    [R | I] gives both X and M^-1.  Returns residuals (batch, n*n),
+    Jacobian (batch, n*n, n) and a mask of the vectors whose M has
+    |det| >= 1e-12, as in :func:`induced_gate`; the others carry finite
+    placeholder values.
+    """
+    n = sx.shape[0]
+    wiring = _default_wiring(n)
+    m, rhs = _detector_system(sx, wiring, np.cos(theta), np.sin(theta))
+    ok = np.abs(np.linalg.det(m)) >= 1e-12
+    m[~ok] = np.eye(n)
+    sol = np.linalg.solve(m, rhs)
+    x, m_inv = sol[..., :n], sol[..., n:]
+    dm, drhs = _detector_system(sx, wiring, -np.sin(theta), np.cos(theta))
+    v = drhs[..., :n] - dm @ x  # row d: dR_d - dM_d X
+    sign = np.repeat([1.0, -1.0], n // 2)[:, None]
+    resid = sign * x - target
+    jac = sign[:, :, None] * np.einsum("bid,bdj->bijd", m_inv, v)
+    return (resid.reshape(len(theta), n * n),
+            jac.reshape(len(theta), n * n, n), ok)
+
+
+def _levenberg_marquardt(sx, target, starts):
+    """Damped Gauss-Newton (Levenberg-Marquardt; More 1978) from every
+    start at once; returns the final angle vectors.
+
+    Each start keeps its own damping, updated by the gain ratio (Nielsen
+    1999), and stops on a step, relative cost decrease or gradient below
+    ``_LM_TOL``.  A start at a singular detector system stays where it
+    is, and a trial step onto one is rejected like a step that raises the
+    cost.
+    """
+    theta = np.array(starts, dtype=float)
+    n = theta.shape[1]
+    resid, jac, live = _gate_residuals(sx, target, theta)
+    cost = 0.5 * np.einsum("bi,bi->b", resid, resid)
+    diag = np.arange(n)
+    # damping in units of the largest diagonal entry of J^T J at the start;
+    # its floor keeps the damped normal matrix regular where J loses rank
+    scale = 1.0 + np.einsum("bij,bij->bj", jac, jac).max(axis=1)
+    damping = 1e-3 * scale
+    growth = np.full(len(theta), 2.0)
+    for _ in range(_LM_MAX_ITER):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        r, j, lam = resid[idx], jac[idx], damping[idx]
+        grad = np.einsum("bki,bk->bi", j, r)
+        normal = np.einsum("bki,bkj->bij", j, j)
+        normal[:, diag, diag] += lam[:, None]
+        step = -np.linalg.solve(normal, grad[..., None])[..., 0]
+        trial = theta[idx] + step
+        r2, j2, ok = _gate_residuals(sx, target, trial)
+        cost2 = 0.5 * np.einsum("bi,bi->b", r2, r2)
+        gain = cost[idx] - cost2
+        predicted = 0.5 * (lam * np.einsum("bi,bi->b", step, step)
+                           - np.einsum("bi,bi->b", grad, step))
+        accept = ok & (gain > 0)
+        small_grad = np.abs(grad).max(axis=1) <= _LM_TOL
+        small_step = np.linalg.norm(step, axis=1) <= _LM_TOL * (
+            np.linalg.norm(theta[idx], axis=1) + _LM_TOL)
+        small_gain = accept & (gain <= _LM_TOL * cost[idx])
+        up = idx[accept]
+        theta[up], resid[up], jac[up], cost[up] = (
+            trial[accept], r2[accept], j2[accept], cost2[accept])
+        rho = gain[accept] / predicted[accept]
+        damping[up] = np.maximum(
+            damping[up] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3),
+            _LM_TOL * scale[up])
+        growth[up] = 2.0
+        down = idx[~accept]
+        damping[down] *= growth[down]
+        growth[down] *= 2.0
+        live[idx[small_grad | small_step | small_gain]] = False
+    return theta
+
+
+def _wrapped(theta: float) -> float:
+    """theta mod pi in [-pi/2, pi/2], put exactly on k*pi/4 where
+    :func:`induced_gate` would solve it as that multiple."""
+    a = math.remainder(theta, math.pi)
+    k = _eighth_multiple(a)
+    return a if k is None else k * math.pi / 4
 
 
 def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
                  seed: int = 0) -> AngleSolution:
     """Search homodyne angles whose induced gate matches the target map.
 
-    Least-squares over the angle vector (angles taken mod pi); among
-    solutions below residual 1e-9 the smallest l2-norm angle vector wins.
-    A residual above 1e-6 is reported as not reachable (which is not a
-    proof of impossibility).
+    The starts are the gate-table angle vectors of this arity and
+    ``n_starts`` uniform draws from ``default_rng(seed)``.  All of them
+    run at once through one batched Levenberg-Marquardt search on the
+    residual G(angles) - target, with the Jacobian in closed form from the
+    detector system.  Each result is wrapped mod pi (an angle within
+    1e-12*pi/4 of a multiple of pi/4 is put on it) and evaluated by
+    :func:`induced_gate`; among those below residual 1e-9 the smallest
+    l2-norm angle vector wins, the first start on a tie.  A residual above
+    1e-6 is reported as not reachable (which is not a proof of
+    impossibility).
     """
-    from scipy.optimize import least_squares
-
     if arity not in _ARITY_LEVEL:
         raise ValueError("arity must be 1, 2 or 4")
     net = build_network(_ARITY_LEVEL[arity])
@@ -279,28 +396,25 @@ def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
     tmat = target.matrix
     if tmat.shape != (n, n):
         raise ValueError("target size does not match arity")
-
-    def resid(angles):
-        m = _gate_matrix_or_none(net, angles)
-        if m is None:
-            return np.full(n * n, 1e3)
-        return (m - tmat).ravel()
+    if not np.isfinite(tmat).all():
+        raise ValueError(f"target matrix is not finite: {tmat.tolist()}")
 
     rng = np.random.default_rng(seed)
-    seeds = [np.array(row[0]) for rows in GATE_TABLES.values()
-             for row in rows if len(row[0]) == n]
-    seeds += [rng.uniform(-math.pi / 2, math.pi / 2, n)
-              for _ in range(n_starts)]
+    starts = [row[0] for rows in GATE_TABLES.values()
+              for row in rows if len(row[0]) == n]
+    starts += [rng.uniform(-math.pi / 2, math.pi / 2, n)
+               for _ in range(n_starts)]
+    found = _levenberg_marquardt(_float_x_block(net), tmat, starts)
     best = None
-    for x0 in seeds:
+    for x in found:
+        ang = [_wrapped(a) for a in x]
         try:
-            res = least_squares(resid, x0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        except Exception:
-            continue
-        ang = np.array([math.remainder(a, math.pi) for a in res.x])
-        r = float(np.abs(resid(ang)).max())
+            gate = induced_gate(net, ang).induced_map.matrix
+            r = float(np.abs(gate - tmat).max())
+        except NonImplementableGateError:
+            r = math.inf
         key = (r > 1e-9, r if r > 1e-9 else 0.0, float(np.linalg.norm(ang)))
         if best is None or key < best[0]:
             best = (key, ang, r)
-    ang, r = best[1], best[2]
-    return AngleSolution(tuple(float(a) for a in ang), r, r <= 1e-6)
+    _, ang, r = best
+    return AngleSolution(tuple(ang), r, r <= 1e-6)

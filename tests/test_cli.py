@@ -63,6 +63,16 @@ def test_gates_solve(runner):
     assert doc["reachable"] and doc["residual"] < 1e-9
 
 
+def test_gates_solve_rejects_non_finite_param(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gates", "solve", "--target", "shear", "--param", "nan"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: target matrix is not finite: "
+                   "[[1.0, 0.0], [nan, 1.0]]\n")
+
+
 def test_perms_cosets_row_count(runner):
     result = runner.invoke(cli, ["perms", "cosets"])
     assert result.exit_code == 0

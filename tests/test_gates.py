@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from octorail.gates import (FOURIER, DegenerateMeasurementError, GATE_TABLES,
-                            NonImplementableGateError, displacement_mu,
-                            induced_gate, solve_angles, teleported_gate_v,
-                            verify_gate_tables)
+                            NonImplementableGateError, _float_x_block,
+                            _gate_residuals, _levenberg_marquardt,
+                            displacement_mu, induced_gate, solve_angles,
+                            teleported_gate_v, verify_gate_tables)
 from octorail.networks import build_network
 from octorail.phasespace import SymplecticMap, make_rotation, make_shear
 
@@ -102,6 +103,94 @@ def test_solve_angles_rejects_unreachable_scaling():
     target = SymplecticMap(1, np.diag([3.0, 1 / 3.0]))
     sol = solve_angles(target, 1, n_starts=10)
     assert not sol.reachable
+
+
+def test_solve_angles_rejects_non_finite_target():
+    target = SymplecticMap(1, [[1.0, 0.0], [math.nan, 1.0]])
+    with pytest.raises(ValueError, match="target matrix is not finite"):
+        solve_angles(target, 1)
+
+
+@pytest.mark.parametrize("target,arity", [
+    (FOURIER, 1), (make_shear(-1.0), 1),
+    (SymplecticMap(2, np.eye(4)), 2),
+    (SymplecticMap(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0],
+                       [1, 0, 0, 1]]), 2)],
+    ids=["fourier", "shear", "identity2", "cz2"])
+def test_solve_angles_prints_the_angles_it_scores(target, arity):
+    """An angle that induced_gate would take as a multiple of pi/4 is
+    returned as exactly that multiple, so the reported residual is the
+    residual of the returned angles."""
+    sol = solve_angles(target, arity)
+    assert sol.reachable
+    for a in sol.angles:
+        q = a / (math.pi / 4)
+        assert a == round(q) * math.pi / 4 or abs(q - round(q)) > 1e-12, a
+    gate = induced_gate(build_network(arity // 2), sol.angles)
+    assert np.abs(gate.induced_map.matrix - target.matrix).max() \
+        == sol.residual
+
+
+def _search_system(level, seed):
+    net = build_network(level)
+    n = net.n_modes
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, (12, n))
+    target = rng.normal(size=(n, n))
+    return net, _float_x_block(net), target, theta
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_batched_residual_matches_induced_gate(level):
+    net, sx, target, theta = _search_system(level, 21 + level)
+    resid, _, ok = _gate_residuals(sx, target, theta)
+    assert ok.all()
+    n = net.n_modes
+    for x, r in zip(theta, resid):
+        want = induced_gate(net, x).induced_map.matrix - target
+        assert np.abs(r.reshape(n, n) - want).max() \
+            <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_analytic_jacobian_matches_central_differences(level):
+    net, sx, target, theta = _search_system(level, 21 + level)
+    _, jac, _ = _gate_residuals(sx, target, theta)
+    h = 1e-6
+    for d in range(net.n_modes):
+        step = np.zeros(net.n_modes)
+        step[d] = h
+        plus, _, _ = _gate_residuals(sx, target, theta + step)
+        minus, _, _ = _gate_residuals(sx, target, theta - step)
+        fd = (plus - minus) / (2 * h)
+        assert np.abs(jac[:, :, d] - fd).max() \
+            <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("arity,count", [(1, 8), (2, 4)])
+def test_solve_angles_reaches_random_reachable_targets(arity, count):
+    net = build_network(arity // 2)
+    rng = np.random.default_rng(31 + arity)
+    for _ in range(count):
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, net.n_modes)
+        target = induced_gate(net, angles).induced_map
+        sol = solve_angles(target, arity)
+        assert sol.reachable and sol.residual <= 1e-9, (angles, sol)
+
+
+def test_singular_start_is_left_where_it_stands():
+    net = build_network(0)
+    starts = [[0.4, 0.4], [0.1, 1.2]]
+    resid, jac, ok = _gate_residuals(_float_x_block(net), FOURIER.matrix,
+                                     np.array(starts))
+    assert ok.tolist() == [False, True]
+    assert np.isfinite(resid).all() and np.isfinite(jac).all()
+    found = _levenberg_marquardt(_float_x_block(net), FOURIER.matrix,
+                                 starts)
+    assert np.isfinite(found).all()
+    assert found[0].tolist() == starts[0]
+    gate = induced_gate(net, found[1]).induced_map.matrix
+    assert np.abs(gate - FOURIER.matrix).max() <= 1e-9
 
 
 def test_gate_tables_structure():
