@@ -245,11 +245,13 @@ def gauss_jordan(rows, n_cols):
         aug[rank], aug[piv] = aug[piv], aug[rank]
         inv = aug[rank][col].inverse()
         prow = aug[rank] = [e * inv if e else e for e in aug[rank]]
+        support = [(j, b) for j, b in enumerate(prow) if b]
         for i in range(n_rows):
-            f = aug[i][col]
+            row = aug[i]
+            f = row[col]
             if i != rank and f:
-                aug[i] = [a - f * b if b else a
-                          for a, b in zip(aug[i], prow)]
+                for j, b in support:
+                    row[j] = row[j] - f * b
         pivots.append(col)
     return aug, pivots
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -346,8 +347,10 @@ def _is_droppable(vec) -> bool:
 
 # ---- the record solver ---------------------------------------------------
 
-def _integer_solve(matrix, rhs):
-    """One integer solution of matrix @ z = rhs (integer entries), or None."""
+def _column_reduce(matrix):
+    """Integer column reduction of ``matrix``: (a, v) with a = matrix @ v
+    for a unimodular v, where each row of a has at most one nonzero entry
+    past the columns that the rows above it lead."""
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
     a = [row[:] for row in matrix]
@@ -374,21 +377,99 @@ def _integer_solve(matrix, rhs):
                         row[c] -= q * row[c0]
         if rank < n_cols and a[i][rank]:
             rank += 1
+    return a, v
+
+
+def _back_substitute(a, v, rhs):
+    """One integer solution of matrix @ z = rhs, given the column reduction
+    (a, v) of matrix, or None."""
+    n_cols = len(v)
     y = [0] * n_cols
     used = [False] * n_cols
-    for i in range(n_rows):
-        residual = rhs[i] - sum(a[i][c] * y[c] for c in range(n_cols))
-        lead = next((c for c in range(n_cols) if a[i][c] and not used[c]),
+    for i, row in enumerate(a):
+        residual = rhs[i] - sum(row[c] * y[c] for c in range(n_cols))
+        lead = next((c for c in range(n_cols) if row[c] and not used[c]),
                     None)
         if lead is None:
             if residual != 0:
                 return None
             continue
-        if residual % a[i][lead] != 0:
+        if residual % row[lead] != 0:
             return None
-        y[lead] = residual // a[i][lead]
+        y[lead] = residual // row[lead]
         used[lead] = True
     return [sum(v[i][c] * y[c] for c in range(n_cols)) for i in range(n_cols)]
+
+
+def _integer_solve(matrix, rhs):
+    """One integer solution of matrix @ z = rhs (integer entries), or None."""
+    return _back_substitute(*_column_reduce(matrix), rhs)
+
+
+#: The symbols in the order of the record system's conditions: each gives
+#: one rational condition (an "equal" row) and one lattice condition.
+_CONDITIONS = _QUNAUGHT + (_DATA_X, _DATA_P)
+
+
+@dataclass(frozen=True)
+class _RecordFactor:
+    """The record system of one set of detector rows, eliminated once.
+
+    ``transform`` holds, for each right-hand-side entry, the nonzero
+    entries (row, value) of its column of the elimination's row transform.
+    The first ``len(pivots)`` reduced rows give the pivot unknowns of w;
+    ``w_rows`` keeps their nonzero z coefficients as (k, value).  The
+    other rows involve z alone: ``z_dens`` scales each to integers, and
+    ``reduction`` is the integer column reduction of the scaled rows.
+    """
+
+    pivots: tuple
+    transform: tuple
+    w_rows: tuple
+    z_dens: tuple
+    reduction: tuple
+
+
+@lru_cache(maxsize=8)
+def _record_factor(rows_m):
+    """Eliminate the record system [E | 0 ; F | -I] of the detector rows
+    ``rows_m`` (a tuple of row tuples) in the unknowns (w, z), carrying an
+    identity block along to record the row operations."""
+    rows_ab = [[c.split() for c in row] for row in rows_m]
+    equal, lattice = [], []
+    for i in _CONDITIONS:
+        a = [rows_ab[d][i][0] for d in range(8)]
+        b = [rows_ab[d][i][1] for d in range(8)]
+        if i in (_DATA_X, _DATA_P):
+            # the sqrt2 part vanishes; half the rational part is an integer
+            equal.append(b + a)
+            lattice.append([x / 2 for x in a] + b)
+        else:
+            # the rational part vanishes; the sqrt2 part is an integer
+            equal.append(a + [2 * x for x in b])
+            lattice.append(b + a)
+    n_lat = len(lattice)
+    rows = [coeffs + [ZERO] * n_lat for coeffs in equal]
+    rows += [coeffs + [-ONE if j == k else ZERO for j in range(n_lat)]
+             for k, coeffs in enumerate(lattice)]
+    n_rows, n_left = len(rows), 16 + n_lat
+    rows = [row + [ONE if j == r else ZERO for j in range(n_rows)]
+            for r, row in enumerate(rows)]
+    aug, pivots = gauss_jordan(rows, 16)
+    transform = tuple(
+        tuple((r, row[n_left + j]) for r, row in enumerate(aug)
+              if row[n_left + j])
+        for j in range(n_rows))
+    w_rows = tuple(tuple((k, e) for k, e in enumerate(row[16:n_left]) if e)
+                   for row in aug[:len(pivots)])
+    z_dens, z_int = [], []
+    for row in aug[len(pivots):]:
+        den = math.lcm(*(e.d for e in row[16:n_left]))
+        z_dens.append(den)
+        z_int.append([e.p * (den // e.d) for e in row[16:n_left]])
+    a, v = _column_reduce(z_int)
+    return _RecordFactor(tuple(pivots), transform, w_rows, tuple(z_dens),
+                         (tuple(map(tuple, a)), tuple(map(tuple, v))))
 
 
 def _solve_displacement(target, raw, rows_m):
@@ -398,47 +479,43 @@ def _solve_displacement(target, raw, rows_m):
 
     The record r_d = u_d + v_d*sqrt2 gives 16 rational unknowns w = (u, v);
     each lattice condition (the sqrt2 part on a qunaught symbol, half the
-    rational part on a data symbol) adds one integer unknown z_k.  One
-    Gauss-Jordan pass over w leaves rows in z alone, which the integer
-    solve settles; a rationally inconsistent system shows up there as a
+    rational part on a data symbol) adds one integer unknown z_k.  The
+    Gauss-Jordan elimination over w depends only on the detector rows, so
+    it is factored once per measurement basis (``_record_factor``) and
+    each relation costs one transform of its right-hand side and one
+    integer back-substitution.  The rows left in z alone settle the
+    integer unknowns; a rationally inconsistent system shows up there as a
     zero row with a nonzero right-hand side.
     """
+    factor = _record_factor(tuple(map(tuple, rows_m)))
     diff = [t - r for t, r in zip(target, raw)]
-    # rational and sqrt2 parts, as rational ExactCoeffs
-    diff_ab = [c.split() for c in diff]
-    rows_ab = [[c.split() for c in row] for row in rows_m]
-    # each condition is (coefficients on w, right-hand side); among equally
-    # valid records, the row order decides which one is returned
-    equal, lattice = [], []
-    for i in _QUNAUGHT + (_DATA_X, _DATA_P):
-        a = [rows_ab[d][i][0] for d in range(8)]
-        b = [rows_ab[d][i][1] for d in range(8)]
-        if i in (_DATA_X, _DATA_P):
-            # the sqrt2 part vanishes; half the rational part is an integer
-            equal.append((b + a, diff_ab[i][1]))
-            lattice.append(([x / 2 for x in a] + b, diff_ab[i][0] / 2))
-        else:
-            # the rational part vanishes; the sqrt2 part is an integer
-            equal.append((a + [2 * x for x in b], diff_ab[i][0]))
-            lattice.append((b + a, diff_ab[i][1]))
-    # [E | 0 | e] over [F | -I | f] in the unknowns (w, z)
-    n_lat = len(lattice)
-    rows = [coeffs + [ZERO] * n_lat + [e] for coeffs, e in equal]
-    rows += [coeffs + [-ONE if j == k else ZERO for j in range(n_lat)] + [f]
-             for k, (coeffs, f) in enumerate(lattice)]
-    aug, pivots = gauss_jordan(rows, 16)
-    z_int, g_int = [], []
-    for row in aug[len(pivots):]:
-        den = math.lcm(*(e.d for e in row[16:]))
-        z_int.append([e.p * (den // e.d) for e in row[16:-1]])
-        g_int.append(row[-1].p * (den // row[-1].d))
-    z = _integer_solve(z_int, g_int)
+    # the row transform times the right-hand side (e over f, in the order
+    # of _CONDITIONS); among equally valid records, that order decides
+    # which one is returned
+    n_cond = len(_CONDITIONS)
+    reduced = [ZERO] * (2 * n_cond)
+    for k, i in enumerate(_CONDITIONS):
+        if not diff[i]:
+            continue
+        a, b = diff[i].split()
+        e, f = (b, a / 2) if i in (_DATA_X, _DATA_P) else (a, b)
+        for j, value in ((k, e), (n_cond + k, f)):
+            if value:
+                for r, t in factor.transform[j]:
+                    reduced[r] = reduced[r] + t * value
+    rank = len(factor.pivots)
+    g_int = []
+    for den, g in zip(factor.z_dens, reduced[rank:]):
+        scaled, rest = divmod(g.p * den, g.d)
+        if rest:
+            return None
+        g_int.append(scaled)
+    z = _back_substitute(*factor.reduction, g_int)
     if z is None:
         return None
     w = [ZERO] * 16
-    for r, c in enumerate(pivots):
-        w[c] = aug[r][-1] - sum((aug[r][16 + k] * zk
-                                 for k, zk in enumerate(z) if zk), ZERO)
+    for c, g, coeffs in zip(factor.pivots, reduced, factor.w_rows):
+        w[c] = g - sum((e * z[k] for k, e in coeffs if z[k]), ZERO)
     record = _as_record(w)
     check = [diff[i] - sum((record[f"m{d + 1}"] * rows_m[d][i]
                             for d in range(8)), ZERO)
@@ -490,7 +567,9 @@ def verify_relation(rel: QuadratureRelation,
     compensated = list(raw)
     for d in range(8):
         coeff = rel.displacement[f"m{d + 1}"]
-        compensated = [c + coeff * y for c, y in zip(compensated, rows_m[d])]
+        if coeff:
+            compensated = [c + coeff * y
+                           for c, y in zip(compensated, rows_m[d])]
     leftover = [t - c for t, c in zip(target, compensated)]
     if _is_droppable(leftover):
         return RelationCheck(rel, "exact")

@@ -210,6 +210,73 @@ def test_oracle_and_solver_reject_an_underivable_relation(record_verdict):
                           model.measurement_rows(basis)) == "infeasible"
 
 
+def _as_triples(record):
+    if record is None:
+        return None
+    return tuple((k, c.p, c.q, c.d) for k, c in sorted(record.items()))
+
+
+def _solver_records(role, rows_m, cold):
+    """(p, q, d) of the solver's record for every relation of ``role`` on
+    the detector rows ``rows_m``; ``cold`` drops the cached factorisation
+    before each call."""
+    model = macronode_model()
+    out = []
+    for rel in _DATA_RELATIONS[role]:
+        if cold:
+            surface._record_factor.cache_clear()
+        out.append(_as_triples(_solve_displacement(
+            _target_vector(rel), model.quadrature_row(rel.output_label),
+            rows_m)))
+    return out
+
+
+def test_record_solver_cache_matches_fresh_elimination():
+    model = macronode_model()
+    rows = {role: model.measurement_rows(basis_preset(role))
+            for role in ("even-data", "odd-data")}
+    surface._record_factor.cache_clear()
+    warm = [_solver_records(role, rows[role], cold=False)
+            for role in ("even-data", "odd-data", "even-data")]
+    # one factorisation per basis, every other call served from the cache
+    info = surface._record_factor.cache_info()
+    assert (info.misses, info.hits) == (2, 28)
+    cold = [_solver_records(role, rows[role], cold=True)
+            for role in ("even-data", "odd-data")]
+    assert warm == cold + cold[:1]
+    assert all(r is not None for table in cold for r in table)
+    # a copy of the even rows with one entry changed is factored afresh,
+    # while the even rows' factorisation is still cached
+    changed = [list(row) for row in rows["even-data"]]
+    changed[3][surface._sym_index("p1'")] += 1
+    _solver_records("even-data", rows["even-data"], cold=False)
+    served = _solver_records("even-data", changed, cold=False)
+    fresh = _solver_records("even-data", changed, cold=True)
+    assert served == fresh
+    assert sum(a != b for a, b in zip(fresh, cold[0])) == 4
+
+
+def test_record_solver_integer_side_cold_and_warm(record_verdict):
+    model = macronode_model()
+    rows_m = model.measurement_rows(basis_preset("even-data"))
+    raw = model.quadrature_row("x1'")
+    target = _target_vector(_relation("even-data", "x1'"))
+    # half a lattice step on x6': the exact parts vanish, but the lattice
+    # right-hand side is not integral
+    off_lattice = list(target)
+    off_lattice[surface._sym_index("x6'")] += HALF_SQRT2
+    assert record_verdict(off_lattice, raw, rows_m) == "infeasible"
+    # the solver's record of even-data x1' from a zero record, in units of
+    # sqrt2/2: its +-2 entries sit on the p-detectors 4 and 8
+    expected = {f"m{d + 1}": HALF_SQRT2 * r
+                for d, r in enumerate([0, -1, -1, 2, 0, -1, -1, -2])}
+    for cold in (True, False):
+        for vec, want in ((off_lattice, None), (target, expected)):
+            if cold:
+                surface._record_factor.cache_clear()
+            assert _solve_displacement(vec, raw, rows_m) == want
+
+
 @st.composite
 def _integer_systems(draw):
     n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
