@@ -1,6 +1,10 @@
 """Command-line front end: verification suites, network/lattice export,
 angle solving, and Monte Carlo runs.
 
+``verify-all`` reports the identities that ``_identities`` declares once,
+in report order, each as (name, observed, expected, detail, fixed);
+``run_verification_suites`` turns every declaration into one report entry.
+
 Configuration precedence: command-line flags > JSON config file (passed via
 ``--config``, flat key/value pairs named after the flags) > built-in
 defaults.  Every CSV output starts with a config-echo comment line and a
@@ -59,16 +63,6 @@ def _write_csv(path, config, header, rows):
 # verification suite
 # --------------------------------------------------------------------------
 
-_ANGLE_CASES = ((0.1, 1.2), (-0.7, 0.4))
-
-
-def _verdict(name, ok, detail="exact"):
-    """A report entry whose detail is a fixed string while the check
-    passes and ``mismatch`` when it fails."""
-    return {"name": name, "pass": bool(ok),
-            "detail": detail if ok else "mismatch"}
-
-
 def _data_basis_verdicts():
     """The 20 quadrature relations and 2 outcome regroupings of the data
     bases, each as (role, output, status, extra): ``extra`` holds the diff
@@ -86,106 +80,86 @@ def _data_basis_verdicts():
                "exact" if surface.verify_regrouping(role) else "mismatch", {})
 
 
-def _check_angle_identity(name, encoding, theta1, theta2):
-    lam = np.diag([1.0, -1.0])
-    phi1, phi2 = gkp.transform_angles(theta1, theta2, encoding)
-    lhs = gates.teleported_gate_v(phi1, phi2).matrix
-    u = encoding.u_g.matrix
-    rhs = (lam @ u @ lam @ gates.teleported_gate_v(theta1, theta2).matrix
-           @ np.linalg.inv(u))
-    dev = float(np.abs(lhs - rhs).max())
-    return {"name": name, "pass": dev < 1e-9, "detail": f"max dev {dev:.3e}"}
-
-
-def _check_logical(name, smap, encoding, expected_label):
-    action = gkp.logical_action(smap, encoding)
-    ok = action.preserves_lattice and action.clifford_label == expected_label
-    return {"name": name, "pass": bool(ok),
-            "detail": f"label {action.clifford_label}"}
-
-
-def run_verification_suites():
-    """All anchored identities, one verdict per entry."""
-    report = []
-
+def _identities():
+    """Every identity ``verify-all`` reports, in report order, as
+    (name, observed, expected, detail, fixed).  An entry passes when
+    observed == expected.  A ``fixed`` detail is a label that reads
+    ``mismatch`` when the entry fails; any other detail is shown as is.
+    Values that several entries share are computed once per call."""
     # eightsplitter transfer matrix, row by row, against the sign table
-    report += [_verdict(r["name"], r["pass"])
-               for r in networks.verify_eightsplitter()]
+    for row in networks.verify_eightsplitter():
+        yield row["name"], row["pass"], True, "exact", True
 
-    # layer commutation
     comm = networks.check_layer_commutation(networks.build_network(2))
-    for pair, ok in comm["pairs"].items():
-        report.append(_verdict(f"layer commutation {pair[0]}-{pair[1]}", ok))
+    for (a, b), ok in comm["pairs"].items():
+        yield f"layer commutation {a}-{b}", ok, True, "exact", True
 
-    # gate tables
     for row in gates.verify_gate_tables():
-        report.append({"name": f"gate table {row['table']}: {row['gate']}",
-                       "pass": row["pass"],
-                       "detail": f"max dev {row['max_dev']:.3e}"})
+        yield (f"gate table {row['table']}: {row['gate']}", row["pass"], True,
+               f"max dev {row['max_dev']:.3e}", False)
 
     # permutation group
     allowed = permutations.generate_allowed()
-    report.append({"name": "allowed permutation group order",
-                   "pass": len(allowed) == 1344, "detail": str(len(allowed))})
     reps = permutations.cosets()
-    report.append({"name": "right coset count",
-                   "pass": len(reps) == 30, "detail": str(len(reps))})
+    yield ("allowed permutation group order", len(allowed), 1344,
+           str(len(allowed)), False)
+    yield "right coset count", len(reps), 30, str(len(reps)), False
     sample = sorted(allowed, key=lambda p: p.images)[::97]
-    ok = all(isinstance(permutations.basis_transform(p),
-                        permutations.SignedPermutationMatrix)
-             for p in sample)
-    report.append({"name": "allowed permutations give signed-permutation "
-                           "basis transforms (sample)",
-                   "pass": bool(ok), "detail": f"{len(sample)} checked"})
-    rejected = [p for p in reps[1:6]
-                if isinstance(permutations.basis_transform(p),
-                              permutations.TransformRejection)]
-    report.append({"name": "coset representatives outside the group are "
-                           "rejected (sample)",
-                   "pass": len(rejected) == 5, "detail": f"{len(rejected)}/5"})
+    signed = all(isinstance(permutations.basis_transform(p),
+                            permutations.SignedPermutationMatrix)
+                 for p in sample)
+    yield ("allowed permutations give signed-permutation basis transforms "
+           "(sample)", signed, True, f"{len(sample)} checked", False)
+    rejected = sum(isinstance(permutations.basis_transform(p),
+                              permutations.TransformRejection)
+                   for p in reps[1:6])
+    yield ("coset representatives outside the group are rejected (sample)",
+           rejected, 5, f"{rejected}/5", False)
 
-    # homodyne-angle transforms
-    encodings = (("square", gkp.square_encoding()),
-                 ("rectangular", gkp.rectangular_encoding(1.3)),
-                 ("hexagonal", gkp.hexagonal_encoding()))
-    for label, enc in encodings:
-        for theta1, theta2 in _ANGLE_CASES:
-            report.append(_check_angle_identity(
-                f"angle transform identity {label} "
-                f"({theta1:+.1f}, {theta2:+.1f})", enc, theta1, theta2))
-    hx = gkp.hexagonal_encoding()
-    _, _, w2 = gkp.decompose_rpr(hx.u_g)
-    report.append(_check_angle_identity(
-        "angle transform identity hexagonal (degenerate branch)",
-        hx, -w2, -w2 + 0.9))
+    # homodyne-angle transforms: V(phi) = Lam U Lam V(theta) U^-1
+    square = gkp.square_encoding()
+    rect = gkp.rectangular_encoding(1.3)
+    hexagonal = gkp.hexagonal_encoding()
+    _, _, w2 = gkp.decompose_rpr(hexagonal.u_g)
+    cases = [(f"{label} ({t1:+.1f}, {t2:+.1f})", enc, t1, t2)
+             for label, enc in (("square", square), ("rectangular", rect),
+                                ("hexagonal", hexagonal))
+             for t1, t2 in ((0.1, 1.2), (-0.7, 0.4))]
+    cases.append(("hexagonal (degenerate branch)", hexagonal, -w2, -w2 + 0.9))
+    lam = np.diag([1.0, -1.0])
+    for label, enc, theta1, theta2 in cases:
+        phi1, phi2 = gkp.transform_angles(theta1, theta2, enc)
+        lhs = gates.teleported_gate_v(phi1, phi2).matrix
+        u = enc.u_g.matrix
+        rhs = (lam @ u @ lam @ gates.teleported_gate_v(theta1, theta2).matrix
+               @ np.linalg.inv(u))
+        dev = float(np.abs(lhs - rhs).max())
+        yield (f"angle transform identity {label}", dev < 1e-9, True,
+               f"max dev {dev:.3e}", False)
 
     # logical action of symplectic maps
-    sq = gkp.square_encoding()
-    report.append(_check_logical("Fourier acts as logical H on square code",
-                                 gates.FOURIER, sq, "H"))
-    f4 = gates.FOURIER @ gates.FOURIER @ gates.FOURIER @ gates.FOURIER
-    report.append(_check_logical("Fourier^4 acts as logical identity",
-                                 f4, sq, "I"))
     from .phasespace import make_shear
-    p1 = make_shear(-1.0)
-    report.append(_check_logical("shear(-1)^2 acts as logical identity "
-                                 "(phase gate squared)", p1 @ p1, sq, "I"))
-    rect = gkp.rectangular_encoding(1.3)
-    u = rect.u_g
-    report.append(_check_logical(
-        "U * U^T acts as logical identity on the rectangular code",
-        u @ gkp.transpose_map(u), rect, "I"))
-    u = hx.u_g
-    report.append(_check_logical(
-        "U * U^T acts as logical H on the hexagonal code",
-        u @ gkp.transpose_map(u), hx, "H"))
+    shear = make_shear(-1.0)
+    f = gates.FOURIER
+    for name, smap, enc, label in (
+            ("Fourier acts as logical H on square code", f, square, "H"),
+            ("Fourier^4 acts as logical identity", f @ f @ f @ f, square, "I"),
+            ("shear(-1)^2 acts as logical identity (phase gate squared)",
+             shear @ shear, square, "I"),
+            ("U * U^T acts as logical identity on the rectangular code",
+             rect.u_g @ gkp.transpose_map(rect.u_g), rect, "I"),
+            ("U * U^T acts as logical H on the hexagonal code",
+             hexagonal.u_g @ gkp.transpose_map(hexagonal.u_g), hexagonal,
+             "H")):
+        action = gkp.logical_action(smap, enc)
+        yield (name, (action.preserves_lattice, action.clifford_label),
+               (True, label), f"label {action.clifford_label}", False)
 
     # macronode data-qubit quadrature relations and outcome regroupings
     for role, output, status, _ in _data_basis_verdicts():
         name = (f"outcome regrouping {role}" if output == "regrouping"
                 else f"quadrature relation {role} {output}")
-        report.append({"name": name, "pass": status == "exact",
-                       "detail": status})
+        yield name, status, "exact", status, False
 
     # stabilizer combinations by exact row arithmetic
     for kind, table in surface.STABILIZERS.items():
@@ -193,9 +167,17 @@ def run_verification_suites():
         for idx, ((_, inputs), (_, support)) in enumerate(zip(combos, table)):
             want = [surface.HALF_SQRT2 if j in support else surface.ZERO
                     for j in range(8)]
-            report.append(_verdict(f"stabilizer combination {kind} #{idx + 1}",
-                                   list(inputs) == want,
-                                   "coefficient 1/sqrt2"))
+            yield (f"stabilizer combination {kind} #{idx + 1}", list(inputs),
+                   want, "coefficient 1/sqrt2", True)
+
+
+def run_verification_suites():
+    """All anchored identities, one verdict per entry."""
+    report = []
+    for name, observed, expected, detail, fixed in _identities():
+        ok = bool(observed == expected)
+        report.append({"name": name, "pass": ok,
+                       "detail": "mismatch" if fixed and not ok else detail})
     return report
 
 

@@ -43,8 +43,9 @@ class SqueezingLevel:
     db: float
 
     def __post_init__(self):
-        if self.delta_sq <= 0:
-            raise ValueError("delta_sq must be positive")
+        if not 0 < self.delta_sq < math.inf:
+            raise ValueError("delta_sq must be finite and positive, "
+                             f"got {self.delta_sq}")
         if abs(self.db + 10 * math.log10(self.delta_sq)) > 1e-12:
             raise ValueError("inconsistent delta_sq / db pair")
 
@@ -572,6 +573,9 @@ def _probe_kernels(delta_sq: float, grid: Grid):
     the same values as ``_bell_amplitude(axis, axis[None, :], delta_sq)``
     up to rounding.
     """
+    if not 0 < delta_sq < math.inf:
+        raise ValueError("delta_sq must be finite and positive, "
+                         f"got {delta_sq}")
     table = qunaught_amplitude(_half_step_points(grid), delta_sq)
     return (_hankel_toeplitz(table, table),
             _damping_kernel(math.asinh(delta_sq), grid.axis))
@@ -623,9 +627,9 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     if samples < 1:
         raise ValueError("samples must be positive")
     grid = grid or default_grid()
+    kernels = _probe_kernels(delta_sq, grid)
     rng = np.random.default_rng(seed)
     std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
-    kernels = _probe_kernels(delta_sq, grid)
     records = []
     for _ in range(samples):
         alpha = complex(rng.normal(0, std), rng.normal(0, std))

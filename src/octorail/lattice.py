@@ -209,32 +209,18 @@ def surface_layout(graph: MacronodeGraph) -> dict:
             for j, c in graph.coords.items()}
 
 
-def wiring_variant(kind: str, replaced: int | None = None,
-                   spec: LatticeSpec | None = None) -> MacronodeGraph:
+def wiring_variant(kind: str) -> MacronodeGraph:
     """Single-macronode wiring variants: 'multiplexer' feeds 7 inputs and
     keeps one Bell-connected output; 'state-injection' keeps half the
     splitter Bell-connected and opens 4 input ports."""
-    spec = spec or LatticeSpec(1, 1, 1, 1)
-    base = build_lattice(spec)
     if kind == "multiplexer":
-        replaced = 7 if replaced is None else replaced
-        if replaced not in range(0, 8):
-            raise ValueError("multiplexer replaces 0..7 Bell halves")
-        if replaced == 0:
-            return base
-        if replaced != 7:
-            raise ValueError("multiplexer variant requires 7 input ports")
         ports = tuple(("input", mode) for mode in range(1, 8)) \
             + (("bell-output", 8),)
     elif kind == "state-injection":
-        replaced = 4 if replaced is None else replaced
-        if replaced == 0:
-            return base
-        if replaced != 4:
-            raise ValueError("state injection opens exactly 4 input ports")
         ports = tuple(("bell", mode) for mode in range(1, 5)) \
             + tuple(("input", mode) for mode in range(5, 9))
     else:
         raise ValueError("unknown wiring variant")
+    base = build_lattice(LatticeSpec(1, 1, 1, 1))
     return MacronodeGraph(base.spec, base.nodes, base.coords, base.edges,
                           dict(base.roles), ports)

@@ -177,15 +177,13 @@ EIGHTSPLITTER_SIGNS = (
 )
 
 
-def verify_eightsplitter(signs=None) -> list:
+def verify_eightsplitter() -> list:
     """Exact row-by-row comparison of the composed level-2 transfer matrix
-    against a reference sign pattern, by default ``EIGHTSPLITTER_SIGNS`` as
-    it stands at call time.  Returns one verdict per row."""
-    if signs is None:
-        signs = EIGHTSPLITTER_SIGNS
+    against ``EIGHTSPLITTER_SIGNS`` as it stands at call time.  Returns one
+    verdict per row."""
     composed = x_block(build_network(2))
     report = []
-    for i, (row, ref) in enumerate(zip(composed.rows, signs)):
+    for i, (row, ref) in enumerate(zip(composed.rows, EIGHTSPLITTER_SIGNS)):
         ok = True
         for entry, sign in zip(row, ref):
             numer, k = entry.as_half_power()

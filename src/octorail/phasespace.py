@@ -72,9 +72,9 @@ class GaussianState:
     def vacuum(cls, n_modes: int) -> "GaussianState":
         return cls(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
-    def is_physical(self, atol: float = 1e-9) -> bool:
+    def is_physical(self) -> bool:
         m = self.covariance + 0.5j * omega(self.n_modes)
-        return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -atol)
+        return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -1e-9)
 
 
 @dataclass(frozen=True)

@@ -931,9 +931,11 @@ class MemoryResult:
     seed: int
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.96):
+def wilson_interval(failures: int, trials: int):
+    """95 % Wilson score interval of a failure rate."""
     if trials == 0:
         raise ValueError("trials must be positive")
+    z = 1.96
     p = failures / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

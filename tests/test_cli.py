@@ -73,6 +73,20 @@ def test_gates_solve_rejects_non_finite_param(capsys):
                    "[[1.0, 0.0], [nan, 1.0]]\n")
 
 
+def test_gkp_magic_probe_rejects_nan_level(capsys):
+    from octorail.gkp import heterodyne_magic_probe
+
+    with pytest.raises(SystemExit) as exc:
+        main(["gkp", "magic-probe", "--db", "nan", "--samples", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # library callers reach the probe without the dB conversion
+    with pytest.raises(ValueError):
+        heterodyne_magic_probe(float("nan"), 2, 0)
+
+
 def test_perms_cosets_row_count(runner):
     result = runner.invoke(cli, ["perms", "cosets"])
     assert result.exit_code == 0
@@ -246,4 +260,28 @@ def test_error_is_single_line(capsys):
 
 def test_suite_has_enough_identities():
     report = run_verification_suites()
-    assert len(report) >= 40
+    names = [r["name"] for r in report]
+    assert len(names) == len(set(names)) == 67
+    # each section in report order: name prefix and the detail of every
+    # entry (None: a measured deviation)
+    sections = [
+        ("S matrix row", ["exact"] * 8),
+        ("layer commutation", ["exact"] * 3),
+        ("gate table", [None] * 13),
+        (("allowed permutation", "right coset", "coset representatives"),
+         ["1344", "30", "14 checked", "5/5"]),
+        ("angle transform identity", [None] * 7),
+        (("Fourier", "shear", "U * U^T"),
+         ["label H", "label I", "label I", "label I", "label H"]),
+        (("quadrature relation", "outcome regrouping"), ["exact"] * 22),
+        ("stabilizer combination", ["coefficient 1/sqrt2"] * 5),
+    ]
+    start = 0
+    for prefix, details in sections:
+        block = report[start:start + len(details)]
+        assert len(block) == len(details), prefix
+        for entry, detail in zip(block, details):
+            assert entry["name"].startswith(prefix), entry
+            assert detail in (None, entry["detail"]), entry
+        start += len(details)
+    assert start == len(report)
