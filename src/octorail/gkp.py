@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .gates import FOURIER, DegenerateMeasurementError
+from .gates import DegenerateMeasurementError
 from .phasespace import (SymplecticMap, identity_map, make_rotation,
                          make_squeeze)
 
@@ -348,8 +348,9 @@ def qunaught_amplitude(x, delta_sq: float):
 
 def make_qunaught(delta_sq: float, grid: Grid | None = None) -> GridWavefunction:
     """Normalized damped qunaught state on the grid."""
-    if delta_sq <= 0:
-        raise ValueError("delta_sq must be positive")
+    if not 0 < delta_sq < math.inf:
+        raise ValueError("delta_sq must be finite and positive, "
+                         f"got {delta_sq}")
     grid = grid or default_grid()
     peak_std = math.sqrt(math.tanh(math.asinh(delta_sq)))
     if grid.dx > peak_std:

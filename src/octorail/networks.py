@@ -9,10 +9,10 @@ identities are checked in exact Q(sqrt2) arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ExactCoeff, ExactMatrix, HALF_SQRT2, ONE, ZERO
+from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO
 
 LAYER_TAGS = {0: "DRL", 1: "QRL", 2: "ORL"}
 
@@ -146,18 +146,15 @@ def cancel_layer(network: SplitterNetwork, angles) -> LayerCancellation:
             f"no layer has equal angles on all pairs; offending pair "
             f"{tuple(m + 1 for m in last_offender)}")
     n = network.n_modes
-    rec = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for j, k in network.layers[target]:
-        rec[j][j] = HALF_SQRT2
-        rec[j][k] = HALF_SQRT2
-        rec[k][j] = -HALF_SQRT2
-        rec[k][k] = HALF_SQRT2
+    # the layer's inverse, which is its transpose
+    layer = layer_matrix(network.layers[target], n)
+    rec = ExactMatrix([list(col) for col in zip(*layer.rows)])
     reduced = SplitterNetwork(
         n,
         tuple(l for i, l in enumerate(network.layers) if i != target),
         tuple(t for i, t in enumerate(network.level_tags) if i != target))
     return LayerCancellation(reduced, network.level_tags[target],
-                             ExactMatrix(rec), _components(reduced))
+                             rec, _components(reduced))
 
 
 # ---------------------------------------------------------------------------

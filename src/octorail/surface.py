@@ -28,8 +28,11 @@ Lattice-trivial displacements
 -----------------------------
 On a qunaught input, any quadrature multiple of sqrt2 is a displacement by
 2n*sqrt(pi) and acts trivially on the encoded qubit; on the data mode
-(grid sqrt(pi)) even integer multiples are trivial.  Identities are
-therefore checked modulo such terms ("droppable" below).
+(grid sqrt(pi)) even integer multiples are trivial.  The table ``_STEP``
+holds this step per symbol (sqrt2 or 2), and identities are checked modulo
+integer multiples of it ("droppable" below).  The record solver reads the
+same table: each symbol gives it one equation over Q(sqrt2) with one
+integer unknown times the symbol's step.
 """
 
 from __future__ import annotations
@@ -320,9 +323,12 @@ _DATA_RELATIONS = {"even-data": EVEN_DATA_RELATIONS,
 _P5_PRIME = {"even-data": EVEN_P5_PRIME, "odd-data": ODD_P5_PRIME}
 _REGROUPED = {"even-data": ("p6'", "p7'"), "odd-data": ("p2'", "p3'")}
 
-_DATA_X = _sym_index("x1")
-_DATA_P = _sym_index("p1")
-_QUNAUGHT = tuple(i for i in range(_N_SYM) if i not in (_DATA_X, _DATA_P))
+_DATA = (_sym_index("x1"), _sym_index("p1"))
+
+#: The lattice step of each symbol: a displacement by an integer multiple
+#: of it is lattice-trivial (sqrt2 on a qunaught symbol, 2 on the data
+#: mode).
+_STEP = tuple(ExactCoeff(2) if i in _DATA else SQRT2 for i in range(_N_SYM))
 
 
 def _target_vector(rel: QuadratureRelation):
@@ -333,15 +339,13 @@ def _target_vector(rel: QuadratureRelation):
 
 
 def _is_droppable(vec) -> bool:
-    """True when the leftover is a lattice-trivial displacement: multiples
-    of sqrt2 on qunaught symbols with integer multiplier, even integers on
-    the data symbols."""
-    for i in _QUNAUGHT:
-        if vec[i].p != 0 or vec[i].d != 1:
-            return False
-    for i in (_DATA_X, _DATA_P):
-        if vec[i].q != 0 or vec[i].d != 1 or vec[i].p % 2 != 0:
-            return False
+    """True when the leftover is a lattice-trivial displacement: an integer
+    multiple of ``_STEP`` on every symbol."""
+    for c, step in zip(vec, _STEP):
+        if c:
+            n = c / step
+            if n.q or n.d != 1:
+                return False
     return True
 
 
@@ -401,74 +405,61 @@ def _back_substitute(a, v, rhs):
     return [sum(v[i][c] * y[c] for c in range(n_cols)) for i in range(n_cols)]
 
 
-def _integer_solve(matrix, rhs):
-    """One integer solution of matrix @ z = rhs (integer entries), or None."""
-    return _back_substitute(*_column_reduce(matrix), rhs)
-
-
-#: The symbols in the order of the record system's conditions: each gives
-#: one rational condition (an "equal" row) and one lattice condition.
-_CONDITIONS = _QUNAUGHT + (_DATA_X, _DATA_P)
+#: The symbols in the order of the record system's equations and of their
+#: lattice integers: the qunaught symbols, then the data mode.
+_CONDITIONS = tuple(i for i in range(_N_SYM) if i not in _DATA) + _DATA
 
 
 @dataclass(frozen=True)
 class _RecordFactor:
     """The record system of one set of detector rows, eliminated once.
 
-    ``transform`` holds, for each right-hand-side entry, the nonzero
-    entries (row, value) of its column of the elimination's row transform.
-    The first ``len(pivots)`` reduced rows give the pivot unknowns of w;
-    ``w_rows`` keeps their nonzero z coefficients as (k, value).  The
-    other rows involve z alone: ``z_dens`` scales each to integers, and
-    ``reduction`` is the integer column reduction of the scaled rows.
+    ``transform`` holds, for each equation, the nonzero entries (row,
+    value) of its column of the elimination's row transform.  The first
+    ``len(pivots)`` reduced rows give the pivot entries of the record r;
+    ``r_rows`` keeps their nonzero lattice-integer coefficients as
+    (k, value).  The other rows involve the integers n alone, and hold
+    when both their rational and their sqrt2 parts do: ``n_dens`` scales
+    each such row to integers, and ``reduction`` is the integer column
+    reduction of the scaled parts, each row's rational part before its
+    sqrt2 part.
     """
 
     pivots: tuple
     transform: tuple
-    w_rows: tuple
-    z_dens: tuple
+    r_rows: tuple
+    n_dens: tuple
     reduction: tuple
 
 
 @lru_cache(maxsize=8)
 def _record_factor(rows_m):
-    """Eliminate the record system [E | 0 ; F | -I] of the detector rows
-    ``rows_m`` (a tuple of row tuples) in the unknowns (w, z), carrying an
-    identity block along to record the row operations."""
-    rows_ab = [[c.split() for c in row] for row in rows_m]
-    equal, lattice = [], []
-    for i in _CONDITIONS:
-        a = [rows_ab[d][i][0] for d in range(8)]
-        b = [rows_ab[d][i][1] for d in range(8)]
-        if i in (_DATA_X, _DATA_P):
-            # the sqrt2 part vanishes; half the rational part is an integer
-            equal.append(b + a)
-            lattice.append([x / 2 for x in a] + b)
-        else:
-            # the rational part vanishes; the sqrt2 part is an integer
-            equal.append(a + [2 * x for x in b])
-            lattice.append(b + a)
-    n_lat = len(lattice)
-    rows = [coeffs + [ZERO] * n_lat for coeffs in equal]
-    rows += [coeffs + [-ONE if j == k else ZERO for j in range(n_lat)]
-             for k, coeffs in enumerate(lattice)]
-    n_rows, n_left = len(rows), 16 + n_lat
-    rows = [row + [ONE if j == r else ZERO for j in range(n_rows)]
-            for r, row in enumerate(rows)]
-    aug, pivots = gauss_jordan(rows, 16)
+    """Eliminate the record system [M | S] of the detector rows ``rows_m``
+    (a tuple of row tuples) over Q(sqrt2) in the record r: row k is
+    sum_d r_d * m_d[i] + _STEP[i] * n_k for the k-th symbol i of
+    ``_CONDITIONS``.  The n block S starts as the diagonal of the steps,
+    so the row transform is the reduced n block with each column divided
+    by its step."""
+    n_eq = len(_CONDITIONS)
+    rows = [[rows_m[d][i] for d in range(8)]
+            + [_STEP[i] if j == k else ZERO for j in range(n_eq)]
+            for k, i in enumerate(_CONDITIONS)]
+    aug, pivots = gauss_jordan(rows, 8)
+    rank = len(pivots)
     transform = tuple(
-        tuple((r, row[n_left + j]) for r, row in enumerate(aug)
-              if row[n_left + j])
-        for j in range(n_rows))
-    w_rows = tuple(tuple((k, e) for k, e in enumerate(row[16:n_left]) if e)
-                   for row in aug[:len(pivots)])
-    z_dens, z_int = [], []
-    for row in aug[len(pivots):]:
-        den = math.lcm(*(e.d for e in row[16:n_left]))
-        z_dens.append(den)
-        z_int.append([e.p * (den // e.d) for e in row[16:n_left]])
-    a, v = _column_reduce(z_int)
-    return _RecordFactor(tuple(pivots), transform, w_rows, tuple(z_dens),
+        tuple((r, row[8 + k] / _STEP[i]) for r, row in enumerate(aug)
+              if row[8 + k])
+        for k, i in enumerate(_CONDITIONS))
+    r_rows = tuple(tuple((k, e) for k, e in enumerate(row[8:]) if e)
+                   for row in aug[:rank])
+    n_dens, n_int = [], []
+    for row in aug[rank:]:
+        den = math.lcm(*(e.d for e in row[8:]))
+        n_dens.append(den)
+        n_int.append([e.p * (den // e.d) for e in row[8:]])
+        n_int.append([e.q * (den // e.d) for e in row[8:]])
+    a, v = _column_reduce(n_int)
+    return _RecordFactor(tuple(pivots), transform, r_rows, tuple(n_dens),
                          (tuple(map(tuple, a)), tuple(map(tuple, v))))
 
 
@@ -477,54 +468,43 @@ def _solve_displacement(target, raw, rows_m):
     target = raw + sum_d r_d * m_d modulo lattice-trivial terms; None if no
     such record exists.
 
-    The record r_d = u_d + v_d*sqrt2 gives 16 rational unknowns w = (u, v);
-    each lattice condition (the sqrt2 part on a qunaught symbol, half the
-    rational part on a data symbol) adds one integer unknown z_k.  The
-    Gauss-Jordan elimination over w depends only on the detector rows, so
-    it is factored once per measurement basis (``_record_factor``) and
-    each relation costs one transform of its right-hand side and one
-    integer back-substitution.  The rows left in z alone settle the
-    integer unknowns; a rationally inconsistent system shows up there as a
-    zero row with a nonzero right-hand side.
+    Each symbol i gives one equation over Q(sqrt2),
+    sum_d r_d * m_d[i] + _STEP[i] * n_i = target[i] - raw[i], in the record
+    r and one integer n_i.  The Gauss-Jordan elimination over r depends
+    only on the detector rows, so it is factored once per measurement basis
+    (``_record_factor``) and each relation costs one transform of its
+    right-hand side and one integer back-substitution.  The rows left in n
+    alone settle the integers; an inconsistent system shows up there as a
+    zero row with a nonzero right-hand side.  The pivot rows then give r,
+    with its free entries at 0.  Among equally valid records, the order of
+    ``_CONDITIONS`` decides which one is returned.
     """
     factor = _record_factor(tuple(map(tuple, rows_m)))
     diff = [t - r for t, r in zip(target, raw)]
-    # the row transform times the right-hand side (e over f, in the order
-    # of _CONDITIONS); among equally valid records, that order decides
-    # which one is returned
-    n_cond = len(_CONDITIONS)
-    reduced = [ZERO] * (2 * n_cond)
-    for k, i in enumerate(_CONDITIONS):
-        if not diff[i]:
-            continue
-        a, b = diff[i].split()
-        e, f = (b, a / 2) if i in (_DATA_X, _DATA_P) else (a, b)
-        for j, value in ((k, e), (n_cond + k, f)):
-            if value:
-                for r, t in factor.transform[j]:
-                    reduced[r] = reduced[r] + t * value
+    reduced = [ZERO] * len(_CONDITIONS)
+    for column, i in zip(factor.transform, _CONDITIONS):
+        if diff[i]:
+            for r, t in column:
+                reduced[r] = reduced[r] + t * diff[i]
     rank = len(factor.pivots)
     g_int = []
-    for den, g in zip(factor.z_dens, reduced[rank:]):
-        scaled, rest = divmod(g.p * den, g.d)
-        if rest:
-            return None
-        g_int.append(scaled)
-    z = _back_substitute(*factor.reduction, g_int)
-    if z is None:
+    for den, g in zip(factor.n_dens, reduced[rank:]):
+        for part in (g.p, g.q):
+            scaled, rest = divmod(part * den, g.d)
+            if rest:
+                return None
+            g_int.append(scaled)
+    n = _back_substitute(*factor.reduction, g_int)
+    if n is None:
         return None
-    w = [ZERO] * 16
-    for c, g, coeffs in zip(factor.pivots, reduced, factor.w_rows):
-        w[c] = g - sum((e * z[k] for k, e in coeffs if z[k]), ZERO)
-    record = _as_record(w)
+    record = {f"m{d + 1}": ZERO for d in range(8)}
+    for c, g, coeffs in zip(factor.pivots, reduced, factor.r_rows):
+        record[f"m{c + 1}"] = g - sum((e * n[k] for k, e in coeffs if n[k]),
+                                      ZERO)
     check = [diff[i] - sum((record[f"m{d + 1}"] * rows_m[d][i]
                             for d in range(8)), ZERO)
              for i in range(_N_SYM)]
     return record if _is_droppable(check) else None
-
-
-def _as_record(vec):
-    return {f"m{d + 1}": vec[d] + vec[8 + d] * SQRT2 for d in range(8)}
 
 
 # ---- relation verification ----------------------------------------------

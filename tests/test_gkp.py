@@ -235,6 +235,12 @@ def test_qunaught_norm_and_resolution_guard():
         make_qunaught(0.005)  # peaks unresolved on the default grid
 
 
+@pytest.mark.parametrize("delta_sq", [float("nan"), math.inf, 0.0, -0.05])
+def test_qunaught_rejects_a_delta_that_is_not_finite_and_positive(delta_sq):
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_qunaught(delta_sq)
+
+
 def test_qunaught_fourier_invariance():
     qn = make_qunaught(0.05)
     overlap = abs(np.vdot(qn.amplitudes,
