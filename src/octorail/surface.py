@@ -660,7 +660,10 @@ def gkp_bin(value):
 
     Returns (parity, analog_residual) elementwise: parity is True on odd
     grid points, and the residual lies in [-sqrt(pi)/2, sqrt(pi)/2).
+    ``ValueError`` if some value is not finite.
     """
+    if not np.isfinite(value).all():
+        raise ValueError("gkp_bin takes finite values only")
     n_grid = np.floor(value / SQRT_PI + 0.5)
     parity = (n_grid.astype(np.int64) % 2).astype(bool)
     return parity, value - n_grid * SQRT_PI
@@ -825,15 +828,25 @@ def _pair_defects(dist, bd):
 
     A pair whose distance is not below the sum of its boundary distances
     can be split into two boundary matches at no cost, so only the other
-    pairs are kept.  Each connected component of the kept pairs is then an
-    independent problem (Fowler 2013; Higgott & Gidney, "Sparse Blossom",
-    2023), solved by ``_component_dp``, or above ``_DP_CAP`` defects by
-    ``_component_blossom``.
+    pairs are kept; the scan runs on Python lists, since most trials have
+    a handful of defects.  Each connected component of the kept pairs is
+    then an independent problem (Fowler 2013; Higgott & Gidney, "Sparse
+    Blossom", 2023).  Most components are solved directly: a lone defect
+    matches the boundary, and two defects match each other, since their
+    pair was kept for a distance below their boundary sum.  Larger ones go
+    to ``_component_dp``, or above ``_DP_CAP`` defects to
+    ``_component_blossom``.  The direct solves are the assignments that
+    ``_component_dp`` gives.
     """
-    kept_a, kept_b = np.nonzero(np.triu(dist < bd[:, None] + bd, 1))
-    kept = list(zip(kept_a.tolist(), kept_b.tolist(),
-                    dist[kept_a, kept_b].tolist()))
-    root = list(range(len(bd)))
+    bd = bd.tolist()
+    k = len(bd)
+    kept = []
+    for a, row in enumerate(dist.tolist()):
+        bd_a = bd[a]
+        for b in range(a + 1, k):
+            if row[b] < bd_a + bd[b]:
+                kept.append((a, b, row[b]))
+    root = list(range(k))
 
     def find(v):
         while root[v] != v:
@@ -844,18 +857,30 @@ def _pair_defects(dist, bd):
         a, b = find(a), find(b)
         root[max(a, b)] = min(a, b)
     members = {}
-    for v in range(len(bd)):
+    for v in range(k):
         members.setdefault(find(v), []).append(v)
-    local = {v: i for nodes in members.values() for i, v in enumerate(nodes)}
-    up = {r: [[] for _ in nodes] for r, nodes in members.items()}
+    local, up = {}, {}  # for the components of three or more defects
+    for r, nodes in members.items():
+        if len(nodes) > 2:
+            local.update((v, i) for i, v in enumerate(nodes))
+            up[r] = [[] for _ in nodes]
     for a, b, w in kept:  # row-major, so each list is in partner order
-        up[find(a)][local[a]].append((local[b], w))
-    bd = bd.tolist()
+        if a in local:
+            up[find(a)][local[a]].append((local[b], w))
     matches = []
     for r, nodes in members.items():
-        solve = _component_dp if len(nodes) <= _DP_CAP else _component_blossom
-        for i, j in solve([bd[v] for v in nodes], up[r]):
-            matches.append((nodes[i], None if j is None else nodes[j]))
+        if len(nodes) == 1:
+            if bd[nodes[0]] == math.inf:
+                raise ValueError("a defect can reach neither the boundary "
+                                 "nor a partner")
+            matches.append((nodes[0], None))
+        elif len(nodes) == 2:
+            matches.append((nodes[0], nodes[1]))
+        else:
+            solve = (_component_dp if len(nodes) <= _DP_CAP
+                     else _component_blossom)
+            for i, j in solve([bd[v] for v in nodes], up[r]):
+                matches.append((nodes[i], None if j is None else nodes[j]))
     return matches
 
 
@@ -913,8 +938,11 @@ class MemoryResult:
 
 def wilson_interval(failures: int, trials: int):
     """95 % Wilson score interval of a failure rate."""
-    if trials == 0:
-        raise ValueError("trials must be positive")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must lie in [0, {trials}], "
+                         f"got {failures}")
     z = 1.96
     p = failures / trials
     denom = 1 + z * z / trials
@@ -928,6 +956,13 @@ def wilson_interval(failures: int, trials: int):
 #: memory of one block at any trial count and does not change results: the
 #: random stream is drawn in the same order whatever the block size.
 _BLOCK_TRIALS = 256
+
+#: Decoded trials whose flip weights are computed in one call.  For a whole
+#: block, the (trials, columns, 7) temporaries of ``_flip_weights`` would
+#: dominate peak memory; a slice's stay under 1 MB at d = 7 with three
+#: rounds.  ``_flip_weights`` works elementwise, so the slice size does not
+#: change results either.
+_WEIGHT_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -1047,6 +1082,7 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     n_stabs = len(stabs)
     n_qubits = distance * distance
     n_q = rounds * n_qubits
+    n_cols = n_q + rounds * n_stabs
     dg = _decoding_graph(stabs, adjacency, cut_qubits, rounds)
     incidence = np.zeros((n_qubits, n_stabs), dtype=np.uint8)
     for s_id, members in enumerate(stabs):
@@ -1059,7 +1095,7 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         size = min(_BLOCK_TRIALS, trials - start)
         # rng.normal(0, s, n) draws s * standard_normal(n); each row holds
         # one trial's qubit shifts, then its readout shifts
-        z = rng.standard_normal((size, n_q + rounds * n_stabs))
+        z = rng.standard_normal((size, n_cols))
         flips, resid = gkp_bin(sigma * z[:, :n_q])
         m_flips, m_resid = gkp_bin(sigma_m * z[:, n_q:])
 
@@ -1075,12 +1111,16 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         true_parity = cum[:, -1, cut_list].sum(axis=1) % 2
         has_defects = defect_grid.any(axis=1)
         failures += int(true_parity[~has_defects].sum())
-        for trial in np.flatnonzero(has_defects):
-            # weights per trial: for a whole block, the (trials, columns, 7)
-            # temporaries of _flip_weights would dominate peak memory
-            weight_row = np.concatenate(
-                [_flip_weights(resid[trial], sigma),
-                 _flip_weights(m_resid[trial], sigma_m), [np.inf]])
+        decoded = np.flatnonzero(has_defects)
+        weights = np.empty((len(decoded), n_cols + 1))
+        weights[:, -1] = np.inf
+        # one weight row per decoded trial, as _DecodingGraph lays it out
+        for lo in range(0, len(decoded), _WEIGHT_SLICE):
+            rows = decoded[lo:lo + _WEIGHT_SLICE]
+            part = weights[lo:lo + len(rows)]
+            part[:, :n_q] = _flip_weights(resid[rows], sigma)
+            part[:, n_q:-1] = _flip_weights(m_resid[rows], sigma_m)
+        for trial, weight_row in zip(decoded.tolist(), weights):
             defects = np.flatnonzero(defect_grid[trial]).tolist()
             _, correction_parity = decode_matching(
                 defects, *_trial_graph(weight_row, dg))

@@ -408,6 +408,21 @@ def test_wilson_interval_contains_estimate():
     assert lo0 == 0.0 and hi0 > 0
 
 
+@pytest.mark.parametrize("failures, trials", [(1, -4), (0, 0), (3, 2),
+                                              (-1, 5)])
+def test_wilson_interval_rejects_impossible_counts(failures, trials):
+    with pytest.raises(ValueError, match="failures|trials"):
+        wilson_interval(failures, trials)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gkp_bin_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gkp_bin(bad)
+    with pytest.raises(ValueError, match="finite"):
+        gkp_bin(np.array([[0.5, 1.0], [bad, -2.0]]))
+
+
 def test_memory_experiment_reproducible():
     a = memory_experiment(3, 13.0, 3, 200, seed=5)
     b = memory_experiment(3, 13.0, 3, 200, seed=5)
@@ -480,6 +495,63 @@ def test_memory_experiment_pinned_seeded_results(key):
     assert type(result.failures) is int
     assert result.rate == failures / 240
     assert (result.ci_low, result.ci_high) == wilson_interval(failures, 240)
+
+
+def _llr_weights(residuals, sigma):
+    """_flip_weights with its even and odd shifts the right way round: an
+    elementwise stand-in whose weights vary from trial to trial."""
+    shifts = np.arange(-3, 4) * SQRT_PI
+    dens = np.exp(-0.5 * ((residuals[..., None] + shifts) / sigma) ** 2)
+    w = np.log(dens[..., 1::2].sum(axis=-1)) - np.log(
+        dens[..., ::2].sum(axis=-1))
+    return np.maximum(w, 1e-6)
+
+
+@pytest.mark.parametrize("flip", ["program", "llr"])
+@pytest.mark.parametrize("distance", [3, 5, 7])
+@pytest.mark.parametrize("db", [7.0, 10.0, 13.0])
+def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
+                                                flip):
+    """The flip weights of a block's decoded trials, computed in slices,
+    are bit for bit each trial's own qubit weights, readout weights and
+    +inf, and no slice exceeds _WEIGHT_SLICE trials.  The program's
+    weights are all floored to 1e-6 (its even and odd shifts are swapped),
+    so only the stand-in shows a row landing on the wrong trial."""
+    real_bin = surface.gkp_bin
+    real_flip = surface._flip_weights if flip == "program" else _llr_weights
+    real_graph = surface._trial_graph
+    residuals, calls, rows = [], [], []
+
+    def spy_bin(value):
+        out = real_bin(value)
+        residuals.append(out[1])
+        return out
+
+    def spy_flip(resid, sigma):
+        calls.append((len(resid), sigma))
+        return real_flip(resid, sigma)
+
+    def spy_graph(weight_row, dg):
+        rows.append(weight_row.copy())
+        return real_graph(weight_row, dg)
+
+    monkeypatch.setattr(surface, "gkp_bin", spy_bin)
+    monkeypatch.setattr(surface, "_flip_weights", spy_flip)
+    monkeypatch.setattr(surface, "_trial_graph", spy_graph)
+    # only the weights are under test: skip the matching
+    monkeypatch.setattr(surface, "decode_matching", lambda *args: ([], 0))
+    memory_experiment(distance, db, 3, 250, 40 + distance)  # one block
+    assert len(rows) > surface._WEIGHT_SLICE
+    assert len(rows) % surface._WEIGHT_SLICE
+    assert max(n for n, _ in calls) <= surface._WEIGHT_SLICE
+    (_, sigma), (_, sigma_m) = calls[:2]
+    resid, m_resid = residuals
+    per_trial = iter(np.concatenate([real_flip(r, sigma),
+                                     real_flip(m, sigma_m), [np.inf]])
+                     for r, m in zip(resid, m_resid))
+    # the decoded trials' rows, in trial order
+    for row in rows:
+        assert any(np.array_equal(row, want) for want in per_trial)
 
 
 def test_memory_experiment_stream_is_continuous_across_blocks(monkeypatch):
@@ -735,6 +807,58 @@ def test_cap_path_matches_dp_on_the_same_components(instance):
         assert weigh(blossom) == weigh(dp)
 
 
+def _kept_components(dist, bd):
+    """Connected components of the pairs whose distance lies below the sum
+    of their boundary distances, by a plain search."""
+    k = len(bd)
+    seen, components = set(), []
+    for start in range(k):
+        if start in seen:
+            continue
+        stack, nodes = [start], set()
+        while stack:
+            v = stack.pop()
+            if v not in nodes:
+                nodes.add(v)
+                stack += [u for u in range(k) if u != v and
+                          dist[min(u, v), max(u, v)] < bd[u] + bd[v]]
+        seen |= nodes
+        components.append(sorted(nodes))
+    return components
+
+
+@settings(deadline=None)
+@given(_matching_instances())
+def test_small_components_are_solved_as_the_dp_solves_them(instance):
+    """Components of one or two defects are solved without a solver call,
+    with the DP's own answer on the same (bd, up), and a lone defect that
+    no boundary reaches raises as the DP raises."""
+    dist, bd = instance
+    small, dp_raises = [], False
+    for nodes in _kept_components(dist, bd):
+        if len(nodes) > 2:
+            continue
+        comp_bd = [bd[v] for v in nodes]
+        up = ([[(1, dist[nodes[0], nodes[1]])], []] if len(nodes) == 2
+              else [[]])
+        try:
+            small.append([(nodes[i], None if j is None else nodes[j])
+                          for i, j in surface._component_dp(comp_bd, up)])
+        except ValueError:
+            dp_raises = True
+    if dp_raises:
+        with pytest.raises(ValueError, match="neither the boundary"):
+            surface._pair_defects(dist, bd)
+        return
+    if _exhaustive_optimum(dist, bd) == math.inf:
+        return  # a larger component has no finite optimum
+    assert all(len(comp_bd) > 2 for comp_bd, _ in _components(dist, bd))
+    matches = surface._pair_defects(dist, bd)
+    for want in small:
+        nodes = {want[0][0]} | {v for _, v in want if v is not None}
+        assert [m for m in matches if m[0] in nodes] == want
+
+
 def _decoded_trials(distance, db, rounds, count, seed):
     """(defects, graph, sink parities) of the first decoded trials of a
     memory experiment, drawn as memory_experiment draws them."""
@@ -798,6 +922,10 @@ def test_unmatched_defect_raises(monkeypatch, cap):
     for defects in ([0, last], [last, last + 1], [0, 1, last + 2]):
         with pytest.raises(ValueError, match="neither the boundary"):
             surface.decode_matching(defects, cut_off, sink_parity)
+    # components of one or two defects never reach a solver, so a solver
+    # sees an unmatchable defect in three that no boundary reaches
+    with pytest.raises(ValueError, match="neither the boundary"):
+        surface._pair_defects(1 - np.eye(3), np.full(3, np.inf))
 
 
 @pytest.mark.parametrize("weights", ["random", "tied"])
