@@ -703,14 +703,22 @@ def _rotated_layout(distance: int):
     return stabs, adjacency, cut_qubits
 
 
+_SHIFTS = np.arange(-3, 4) * SQRT_PI
+
+
 def _flip_weights(residuals: np.ndarray, sigma: float) -> np.ndarray:
     """Matching weight of a flip with the observed grid residual: the log
     likelihood ratio of 'no flip' against 'flip', floored at 1e-6."""
-    shifts = np.arange(-3, 4) * SQRT_PI
-    u = residuals[..., None] + shifts
-    dens = np.exp(-0.5 * (u / sigma) ** 2)
-    even = dens[..., ::2].sum(axis=-1)
-    odd = dens[..., 1::2].sum(axis=-1)
+    # the Gaussian density at each shift, exp(-0.5 * ((r + s) / sigma)^2),
+    # computed in place; each sum adds its shifts left to right, as a NumPy
+    # sum over four values does
+    dens = residuals[..., None] + _SHIFTS
+    dens /= sigma
+    dens *= dens
+    dens *= -0.5
+    np.exp(dens, out=dens)
+    even = dens[..., 0] + dens[..., 2] + dens[..., 4] + dens[..., 6]
+    odd = dens[..., 1] + dens[..., 3] + dens[..., 5]
     with np.errstate(divide="ignore"):
         w = np.log(even) - np.log(odd)
     return np.maximum(w, 1e-6)
@@ -884,39 +892,31 @@ def _pair_defects(dist, bd):
     return matches
 
 
-def decode_matching(defects, graph, sink_parity):
-    """Minimum-weight matching of space-time defects.
+def decode_matching(defects, dist, bd, crossing):
+    """Minimum-weight matching of one trial's space-time defects.
 
-    ``defects`` lists node ids of the space-time graph; ``graph`` is its
-    scipy-ready sparse directed adjacency (weights), whose last node is the
-    open boundary: a sink that every boundary anchor enters by its lightest
-    boundary edge and that no edge leaves.  ``sink_parity[v]`` is the
-    logical-cut crossing bit of anchor v's edge into the sink.  Returns
-    (matched pairs, total cut-crossing parity of the correction).
+    ``defects`` lists node ids of the trial's space-time graph, whose open
+    boundary is one sink node (see ``_DecodingGraph``).  ``dist`` holds
+    the defects' mutual distances (upper triangle read), ``bd`` their
+    distances to the sink, and ``crossing[i]`` the logical-cut crossing bit
+    of defect i's shortest boundary path: that of the edge by which its
+    anchor, the sink's predecessor, enters the sink (``_slice_paths``).
+    Returns (matched pairs, total cut-crossing parity of the correction).
 
-    One Dijkstra from the defects gives their mutual distances, their
-    distances to the sink and, through the sink's predecessor, the anchor of
-    each boundary path.  The cut runs along the open boundary (see
-    ``_rotated_layout``): every cut qubit belongs to one stabilizer and so
-    is a boundary edge, never a graph edge.  A path between two defects
-    therefore never crosses it, and only boundary matches add to the
-    parity.  Each defect matches another defect or the boundary, with the
-    least total weight (``_pair_defects``; the single boundary node is that
-    of Dennis et al., "Topological quantum memory", 2002); ``ValueError`` if
-    some defect can reach neither.
+    The cut runs along the open boundary (see ``_rotated_layout``): every
+    cut qubit belongs to one stabilizer and so is a boundary edge, never a
+    graph edge.  A path between two defects therefore never crosses it,
+    and only boundary matches add to the parity.  Each defect matches
+    another defect or the boundary, with the least total weight
+    (``_pair_defects``; the single boundary node is that of Dennis et al.,
+    "Topological quantum memory", 2002); ``ValueError`` if some defect can
+    reach neither.
     """
-    from scipy.sparse.csgraph import dijkstra
-
-    if not defects:
-        return [], 0
-    sink = graph.shape[0] - 1
-    dist, pred = dijkstra(graph, directed=True, indices=defects,
-                          return_predecessors=True)
     crossings = 0
     matched = []
-    for a, b in _pair_defects(dist[:, defects], dist[:, sink]):
+    for a, b in _pair_defects(dist, bd):
         if b is None:
-            crossings ^= int(sink_parity[pred[a, sink]])
+            crossings ^= int(crossing[a])
             matched.append((defects[a], "boundary"))
         else:
             matched.append((defects[a], defects[b]))
@@ -957,12 +957,14 @@ def wilson_interval(failures: int, trials: int):
 #: random stream is drawn in the same order whatever the block size.
 _BLOCK_TRIALS = 256
 
-#: Decoded trials whose flip weights are computed in one call.  For a whole
-#: block, the (trials, columns, 7) temporaries of ``_flip_weights`` would
-#: dominate peak memory; a slice's stay under 1 MB at d = 7 with three
-#: rounds.  ``_flip_weights`` works elementwise, so the slice size does not
-#: change results either.
-_WEIGHT_SLICE = 32
+#: Entries of one slice's shortest-path output: its sources (every defect
+#: of its trials) times its nodes (every trial's graph).  A slice is the
+#: longest run of consecutive decoded trials within this budget, or one
+#: trial that alone exceeds it.  It bounds the Dijkstra output (``dist``
+#: and ``pred``, under 1 MB) and the flip-weight temporaries at any rounds;
+#: a source reaches only its own trial's block, so the slicing does not
+#: change results.
+_SLICE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -972,7 +974,10 @@ class _DecodingGraph:
     Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``; the
     last node is the open boundary, a sink.  A trial supplies its edge
     weights as one row: the flip weight of every (round, qubit), then of
-    every (round, stabilizer readout), then +inf.
+    every (round, stabilizer readout), then +inf.  A slice of trials is
+    decoded on one block-diagonal graph (``_slice_graph``): trial i's block
+    is this structure with every node offset by ``i * n_nodes``, its own
+    sink included.
     """
     n_nodes: int  # the sink included
     indices: np.ndarray  # CSR structure of the directed adjacency
@@ -1030,24 +1035,79 @@ def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
                           np.array(anchors), anchor_col, anchor_crossing)
 
 
-def _trial_graph(weight_row, dg: _DecodingGraph):
-    """A trial's sparse directed graph and each node's sink-edge crossing
-    bit (0 off the anchors), for ``decode_matching``.
+def _slice_graph(weights, dg: _DecodingGraph):
+    """The block-diagonal sparse directed graph of a slice of trials, one
+    weight row each, and each node's sink-edge crossing bit (0 off the
+    anchors).  A slice of one trial is that trial's own graph.
 
-    An anchor enters the sink by its lightest boundary candidate, the first
-    in scan order under ties.
+    An anchor enters its trial's sink by its lightest boundary candidate,
+    the first in scan order under ties.  Each block repeats the trial
+    graph's node order and CSR entry order, so a Dijkstra from a node of
+    one block breaks ties as on that trial's graph alone.
     """
     from scipy.sparse import csr_matrix
 
-    cand = weight_row[dg.anchor_col]
-    best = cand.argmin(axis=1)  # argmin returns the first minimum
-    rows = np.arange(len(best))
-    data = np.concatenate([weight_row, cand[rows, best]])[dg.data_col]
-    graph = csr_matrix((data, dg.indices, dg.indptr),
-                       shape=(dg.n_nodes, dg.n_nodes))
-    sink_parity = np.zeros(dg.n_nodes, dtype=bool)
-    sink_parity[dg.anchor_node] = dg.anchor_crossing[rows, best]
-    return graph, sink_parity
+    size = len(weights)
+    cand = weights[:, dg.anchor_col]
+    best = cand.argmin(axis=2)  # argmin returns the first minimum
+    data = np.concatenate([weights, cand.min(axis=2)], axis=1)[:, dg.data_col]
+    nnz = len(dg.indices)
+    blocks = np.arange(size, dtype=dg.indices.dtype)[:, None]
+    indices = (dg.indices + blocks * dg.n_nodes).ravel()
+    indptr = np.append((dg.indptr[:-1] + blocks * nnz).ravel(), size * nnz)
+    n = size * dg.n_nodes
+    graph = csr_matrix((data.ravel(), indices, indptr), shape=(n, n))
+    sink_parity = np.zeros((size, dg.n_nodes), dtype=bool)
+    sink_parity[:, dg.anchor_node] = dg.anchor_crossing[
+        np.arange(len(dg.anchor_node)), best]
+    return graph, sink_parity.ravel()
+
+
+def _slice_paths(graph, sink_parity, nodes, counts):
+    """One Dijkstra from every defect of a slice of trials.
+
+    ``graph`` and ``sink_parity`` come from ``_slice_graph``; ``nodes``
+    lists the slice's defects trial by trial, in trial-local node ids, and
+    trial i has ``counts[i]`` of them.  Returns, per trial, its defects'
+    mutual distances, their distances to its sink, their anchors (the
+    trial-local id of the sink's predecessor, negative where no boundary
+    is reachable) and the cut-crossing bits of their boundary paths.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    n_nodes = graph.shape[0] // len(counts)
+    offsets = np.repeat(np.arange(len(counts)) * n_nodes, counts)
+    sources = nodes + offsets
+    dist, pred = dijkstra(graph, directed=True, indices=sources,
+                          return_predecessors=True)
+    rows = np.arange(len(sources))
+    sinks = offsets + (n_nodes - 1)
+    bd = dist[rows, sinks]
+    anchor = pred[rows, sinks]
+    reached = anchor >= 0
+    # a sink's own crossing bit is 0
+    crossing = sink_parity[np.where(reached, anchor, sinks)]
+    anchor = np.where(reached, anchor - offsets, anchor)
+    mutual = dist[:, sources]
+    ends = np.cumsum(counts).tolist()
+    return [(mutual[lo:hi, lo:hi], bd[lo:hi], anchor[lo:hi], crossing[lo:hi])
+            for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _slices(counts, n_nodes):
+    """Runs ``(lo, hi)`` of consecutive trials, trial i with ``counts[i]``
+    defects on a graph of ``n_nodes`` nodes: each the longest whose
+    sources times nodes stays within ``_SLICE_ENTRIES``, or one trial that
+    alone exceeds it."""
+    lo = 0
+    while lo < len(counts):
+        hi, sources = lo + 1, counts[lo]
+        while (hi < len(counts) and (sources + counts[hi]) * (hi + 1 - lo)
+               * n_nodes <= _SLICE_ENTRIES):
+            sources += counts[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
 
 
 def memory_experiment(distance: int, squeezing_db: float, rounds: int,
@@ -1062,14 +1122,25 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     matching weights.  The final readout round is noiseless.
 
     Trials are sampled and reduced to defects in blocks; only trials with
-    defects reach the decoder.
+    defects reach the decoder.  A block's decoded trials are split into
+    slices (``_slices``); each slice gets its flip weights, one
+    block-diagonal graph (``_slice_graph``) and one Dijkstra from all of
+    its defects (``_slice_paths``), and then each trial is matched on its
+    own (``decode_matching``).
     """
+    for name, value in (("distance", distance), ("rounds", rounds),
+                        ("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if distance not in (3, 5, 7):
         raise ValueError("distance must be 3, 5 or 7")
     if rounds < 1:
         raise ValueError("rounds must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not (math.isfinite(squeezing_db) and squeezing_db > 0):
         raise ValueError(f"squeezing_db must be a finite level above 0 dB, "
                          f"got {squeezing_db}")
@@ -1112,19 +1183,24 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         has_defects = defect_grid.any(axis=1)
         failures += int(true_parity[~has_defects].sum())
         decoded = np.flatnonzero(has_defects)
-        weights = np.empty((len(decoded), n_cols + 1))
-        weights[:, -1] = np.inf
-        # one weight row per decoded trial, as _DecodingGraph lays it out
-        for lo in range(0, len(decoded), _WEIGHT_SLICE):
-            rows = decoded[lo:lo + _WEIGHT_SLICE]
-            part = weights[lo:lo + len(rows)]
-            part[:, :n_q] = _flip_weights(resid[rows], sigma)
-            part[:, n_q:-1] = _flip_weights(m_resid[rows], sigma_m)
-        for trial, weight_row in zip(decoded.tolist(), weights):
-            defects = np.flatnonzero(defect_grid[trial]).tolist()
-            _, correction_parity = decode_matching(
-                defects, *_trial_graph(weight_row, dg))
-            failures += int(true_parity[trial]) ^ correction_parity
+        # every decoded trial's defects, trial by trial
+        owner, nodes = np.nonzero(defect_grid[decoded])
+        counts = np.bincount(owner, minlength=len(decoded)).tolist()
+        firsts = np.cumsum([0] + counts).tolist()
+        node_list = nodes.tolist()
+        for lo, hi in _slices(counts, dg.n_nodes):
+            rows = decoded[lo:hi]
+            # one weight row per trial, as _DecodingGraph lays it out
+            weights = np.empty((hi - lo, n_cols + 1))
+            weights[:, :n_q] = _flip_weights(resid[rows], sigma)
+            weights[:, n_q:-1] = _flip_weights(m_resid[rows], sigma_m)
+            weights[:, -1] = np.inf
+            paths = _slice_paths(*_slice_graph(weights, dg),
+                                 nodes[firsts[lo]:firsts[hi]], counts[lo:hi])
+            for i, (dist, bd, _, crossing) in enumerate(paths, lo):
+                _, correction_parity = decode_matching(
+                    node_list[firsts[i]:firsts[i + 1]], dist, bd, crossing)
+                failures += int(true_parity[decoded[i]]) ^ correction_parity
 
     rate = failures / trials
     ci_low, ci_high = wilson_interval(failures, trials)

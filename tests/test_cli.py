@@ -240,6 +240,25 @@ def test_surface_memory_rejects_unsqueezed_level(capsys, db):
                           "0 dB")
 
 
+def test_surface_memory_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "memory", "--seed", "-3", "--trials", "5"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -3\n"
+
+
+def test_surface_memory_rejects_fractional_config_count(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 10.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "surface", "memory"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == ("error: trials must be an integer, "
+                                       "got 10.5\n")
+
+
 def test_lattice_export_rejects_m_zero(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "export", "--m", "0",

@@ -448,6 +448,19 @@ def test_memory_experiment_validates_arguments():
     for db in (0.0, -3.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="squeezing_db"):
             memory_experiment(3, db, 3, 10, seed=0)
+    args = {"distance": 3, "squeezing_db": 10.0, "rounds": 3, "trials": 10,
+            "seed": 0}
+    for name in ("distance", "rounds", "trials", "seed"):
+        for bad in (float(args[name]), args[name] + 0.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an "
+                                                 "integer"):
+                memory_experiment(**{**args, name: bad})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        memory_experiment(**{**args, "seed": -3})
+    # NumPy integers are integers
+    assert memory_experiment(np.int64(3), 10.0, np.int32(3), np.int64(10),
+                             np.uint8(0)) == memory_experiment(3, 10.0, 3,
+                                                               10, 0)
 
 
 # Seeded failures of memory_experiment(d, dB, rounds, 240, seed), recorded
@@ -507,6 +520,23 @@ def _llr_weights(residuals, sigma):
     return np.maximum(w, 1e-6)
 
 
+def test_flip_weights_equal_the_written_out_sums():
+    """_flip_weights, computed in place, is bit for bit the densities
+    exp(-0.5 * ((r + k sqrt(pi)) / sigma)^2) summed with NumPy over
+    k = -3, -1, 1, 3 and over k = -2, 0, 2, their log ratio floored at
+    1e-6.  The residuals reach 2 sqrt(pi), beyond the binning range, so
+    that a share of the weights lies above the floor."""
+    residuals = np.random.default_rng(5).uniform(-2 * SQRT_PI, 2 * SQRT_PI,
+                                                 (40, 60))
+    for sigma in (0.05, 0.3, 0.6, 1.5):
+        dens = np.exp(-0.5 * ((residuals[..., None]
+                               + np.arange(-3, 4) * SQRT_PI) / sigma) ** 2)
+        want = np.maximum(np.log(dens[..., ::2].sum(axis=-1))
+                          - np.log(dens[..., 1::2].sum(axis=-1)), 1e-6)
+        assert (want > 1e-6).mean() > 0.2
+        assert np.array_equal(surface._flip_weights(residuals, sigma), want)
+
+
 @pytest.mark.parametrize("flip", ["program", "llr"])
 @pytest.mark.parametrize("distance", [3, 5, 7])
 @pytest.mark.parametrize("db", [7.0, 10.0, 13.0])
@@ -514,13 +544,16 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
                                                 flip):
     """The flip weights of a block's decoded trials, computed in slices,
     are bit for bit each trial's own qubit weights, readout weights and
-    +inf, and no slice exceeds _WEIGHT_SLICE trials.  The program's
-    weights are all floored to 1e-6 (its even and odd shifts are swapped),
-    so only the stand-in shows a row landing on the wrong trial."""
+    +inf; the weights and the graphs share one slicing, and no slice's
+    sources times nodes exceeds _SLICE_ENTRIES unless it is one trial.
+    The program's weights are all floored to 1e-6 (its even and odd shifts
+    are swapped), so only the stand-in shows a row landing on the wrong
+    trial.  A budget of 2^12 entries gives every case several slices."""
     real_bin = surface.gkp_bin
     real_flip = surface._flip_weights if flip == "program" else _llr_weights
-    real_graph = surface._trial_graph
-    residuals, calls, rows = [], [], []
+    real_graph = surface._slice_graph
+    real_paths = surface._slice_paths
+    residuals, calls, rows, slices = [], [], [], []
 
     def spy_bin(value):
         out = real_bin(value)
@@ -531,19 +564,27 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
         calls.append((len(resid), sigma))
         return real_flip(resid, sigma)
 
-    def spy_graph(weight_row, dg):
-        rows.append(weight_row.copy())
-        return real_graph(weight_row, dg)
+    def spy_graph(weights, dg):
+        rows.extend(weights.copy())
+        return real_graph(weights, dg)
+
+    def spy_paths(graph, sink_parity, nodes, counts):
+        slices.append((len(counts), len(nodes) * graph.shape[0]))
+        return real_paths(graph, sink_parity, nodes, counts)
 
     monkeypatch.setattr(surface, "gkp_bin", spy_bin)
     monkeypatch.setattr(surface, "_flip_weights", spy_flip)
-    monkeypatch.setattr(surface, "_trial_graph", spy_graph)
+    monkeypatch.setattr(surface, "_slice_graph", spy_graph)
+    monkeypatch.setattr(surface, "_slice_paths", spy_paths)
+    monkeypatch.setattr(surface, "_SLICE_ENTRIES", 1 << 12)
     # only the weights are under test: skip the matching
     monkeypatch.setattr(surface, "decode_matching", lambda *args: ([], 0))
     memory_experiment(distance, db, 3, 250, 40 + distance)  # one block
-    assert len(rows) > surface._WEIGHT_SLICE
-    assert len(rows) % surface._WEIGHT_SLICE
-    assert max(n for n, _ in calls) <= surface._WEIGHT_SLICE
+    assert len(slices) > 2 and sum(n for n, _ in slices) == len(rows)
+    # one qubit and one readout call per slice, on the slice's trials
+    assert [n for n, _ in calls] == [n for n, _ in slices for _ in "qm"]
+    assert all(entries <= surface._SLICE_ENTRIES or n == 1
+               for n, entries in slices)
     (_, sigma), (_, sigma_m) = calls[:2]
     resid, m_resid = residuals
     per_trial = iter(np.concatenate([real_flip(r, sigma),
@@ -675,8 +716,8 @@ def _sink_graph(edges, row, n_nodes, keep=None):
 @pytest.mark.parametrize("distance", [3, 5, 7])
 @pytest.mark.parametrize("weights", ["random", "tied"])
 def test_boundary_pass_matches_scan_oracle(distance, weights):
-    """The boundary pass is the sink column of decode_matching's one
-    Dijkstra: each node's distance to the sink is the scan's boundary
+    """The boundary pass is the sink column of a slice's one Dijkstra,
+    here a slice of one trial: each node's distance to the sink is the scan's boundary
     distance exactly, and the sink's predecessor names the anchor whose
     boundary edge gives the cut parity.  Dijkstra's predecessor, not a
     first-anchor scan, breaks ties, so under ties the parity must be that
@@ -691,7 +732,7 @@ def test_boundary_pass_matches_scan_oracle(distance, weights):
     assert sink == (rounds + 1) * n_stabs
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(distance)):
-        graph, sink_parity = surface._trial_graph(row, dg)
+        graph, sink_parity = surface._slice_graph(row[None], dg)
         fresh = _sink_graph(edges, row, dg.n_nodes)
         assert np.array_equal(graph.indices, fresh.indices)
         assert np.array_equal(graph.indptr, fresh.indptr)
@@ -860,14 +901,14 @@ def test_small_components_are_solved_as_the_dp_solves_them(instance):
 
 
 def _decoded_trials(distance, db, rounds, count, seed):
-    """(defects, graph, sink parities) of the first decoded trials of a
-    memory experiment, drawn as memory_experiment draws them."""
+    """(defects, distances, boundary distances, crossing bits) of the
+    decoded trials of a memory experiment, as decode_matching gets them."""
     calls = []
     real = surface.decode_matching
 
-    def record(defects, graph, sink_parity):
-        calls.append((defects, graph, sink_parity))
-        return real(defects, graph, sink_parity)
+    def record(*args):
+        calls.append(args)
+        return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "decode_matching", record)
@@ -875,17 +916,120 @@ def _decoded_trials(distance, db, rounds, count, seed):
     return calls
 
 
+def _decode(defects, graph, sink_parity):
+    """decode_matching on one trial's graph, a slice of one trial."""
+    (dist, bd, _, crossing), = surface._slice_paths(
+        graph, sink_parity, np.array(defects), [len(defects)])
+    return surface.decode_matching(defects, dist, bd, crossing)
+
+
+def _slice_runs(distance, db, rounds, trials, seed):
+    """Every slice of a memory experiment: its weight rows, defects and
+    per-trial paths, as the program computed them."""
+    real_graph, real_paths = surface._slice_graph, surface._slice_paths
+    runs = []
+
+    def spy_graph(weights, dg):
+        runs.append([weights.copy(), dg])
+        return real_graph(weights, dg)
+
+    def spy_paths(graph, sink_parity, nodes, counts):
+        paths = real_paths(graph, sink_parity, nodes, counts)
+        runs[-1] += [nodes.tolist(), list(counts), paths]
+        return paths
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_slice_graph", spy_graph)
+        mp.setattr(surface, "_slice_paths", spy_paths)
+        surface.memory_experiment(distance, db, rounds, trials, seed)
+    return runs
+
+
+@pytest.mark.parametrize("flip", ["program", "llr"])
+@pytest.mark.parametrize("distance,db", [(3, 7.0), (5, 11.0), (7, 13.0)])
+@pytest.mark.parametrize("budget", ["default", "one trial"])
+def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
+                                              budget, flip):
+    """Each trial's distances, boundary distances and anchors, read off its
+    slice's one Dijkstra on the block-diagonal graph, are those of a
+    Dijkstra on a fresh graph of that trial alone, ties broken alike; its
+    crossing bits are those of its anchors' lightest boundary edges, the
+    first in scan order under ties.  The program's weights are all floored
+    to 1e-6, so ties are everywhere and every trial's graph is the same;
+    the stand-in's weights differ from trial to trial, so they show a trial
+    read off another's block.  With a budget of 0 every slice is one
+    trial; with the default one, slices end inside the block."""
+    from scipy.sparse.csgraph import dijkstra
+
+    if budget == "one trial":
+        monkeypatch.setattr(surface, "_SLICE_ENTRIES", 0)
+    if flip == "llr":
+        monkeypatch.setattr(surface, "_flip_weights", _llr_weights)
+    rounds = 3
+    _, edges, _ = _scan_oracle(distance, rounds)
+    boundary_edges = edges[3]
+    runs = _slice_runs(distance, db, rounds, 150, distance)
+    sizes = [len(counts) for _, _, _, counts, _ in runs]
+    if budget == "one trial":
+        assert set(sizes) == {1}
+    else:
+        assert len(sizes) > 2 and max(sizes) > 1
+    checked = 0
+    for weights, dg, nodes, counts, paths in runs:
+        sink = dg.n_nodes - 1
+        first = 0
+        for row, count, (dist, bd, anchor, crossing) in zip(weights, counts,
+                                                             paths):
+            defects = nodes[first:first + count]
+            first += count
+            fresh = _sink_graph(edges, row, dg.n_nodes)
+            want, pred = dijkstra(fresh, directed=True, indices=defects,
+                                  return_predecessors=True)
+            assert np.array_equal(dist, want[:, defects])
+            assert np.array_equal(bd, want[:, sink])
+            assert np.array_equal(anchor, pred[:, sink])
+            for a, bit in zip(anchor, crossing):
+                lightest = [(row[c], x) for v, c, x in boundary_edges
+                            if v == a]
+                least = min(w for w, _ in lightest) if lightest else None
+                assert bit == next((x for w, x in lightest if w == least),
+                                   0)
+            checked += 1
+    assert checked > 50
+
+
+def test_slice_dijkstra_output_stays_within_budget(monkeypatch):
+    """No Dijkstra's output exceeds _SLICE_ENTRIES entries unless one trial
+    alone does, and the slicing does not change the result."""
+    import scipy.sparse.csgraph as csgraph
+
+    args = (5, 11.0, 3, 120, 9)
+    whole = memory_experiment(*args)
+    budget, n_nodes = 300, 4 * 12 + 1
+    real = csgraph.dijkstra
+    outputs = []
+
+    def spy(graph, *a, **k):
+        dist, pred = real(graph, *a, **k)
+        outputs.append((dist.size, pred.size, graph.shape[0] // n_nodes))
+        return dist, pred
+
+    monkeypatch.setattr(surface, "_SLICE_ENTRIES", budget)
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    assert memory_experiment(*args) == whole
+    assert all(size == pred <= budget or trials == 1
+               for size, pred, trials in outputs)
+    # both kinds occur: slices of several trials, and lone trials over it
+    assert any(trials > 1 for _, _, trials in outputs)
+    assert any(size > budget for size, _, _ in outputs)
+
+
 def test_cap_path_decodes_as_the_dp_does(monkeypatch):
     """With the cap at 4, every larger component goes to the blossom; its
     matchings weigh what the DP's do on the same trials."""
-    from scipy.sparse.csgraph import dijkstra
-
     trials = _decoded_trials(5, 8.0, 3, 60, 4)
-    want = []
-    for defects, graph, _ in trials:
-        dist = dijkstra(graph, directed=True, indices=defects)
-        d, b = dist[:, defects], dist[:, -1]
-        want.append((d, b, _weight(d, b, surface._pair_defects(d, b))))
+    want = [(d, b, _weight(d, b, surface._pair_defects(d, b)))
+            for _, d, b, _ in trials]
     blossoms = []
     real = surface._component_blossom
 
@@ -916,12 +1060,12 @@ def test_unmatched_defect_raises(monkeypatch, cap):
                             np.random.default_rng(0), 1))
     keep = np.array(edges[1]) < rounds * n_stabs
     cut_off = _sink_graph(edges, row, dg.n_nodes, keep)
-    sink_parity = surface._trial_graph(row, dg)[1]
+    sink_parity = surface._slice_graph(row[None], dg)[1]
     last = rounds * n_stabs
-    assert surface.decode_matching([0, 1], cut_off, sink_parity)[0]
+    assert _decode([0, 1], cut_off, sink_parity)[0]
     for defects in ([0, last], [last, last + 1], [0, 1, last + 2]):
         with pytest.raises(ValueError, match="neither the boundary"):
-            surface.decode_matching(defects, cut_off, sink_parity)
+            _decode(defects, cut_off, sink_parity)
     # components of one or two defects never reach a solver, so a solver
     # sees an unmatchable defect in three that no boundary reaches
     with pytest.raises(ValueError, match="neither the boundary"):
@@ -955,12 +1099,11 @@ def test_decoder_matches_brute_force_correction(weights):
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(11)):
         weight = subsets @ row[[c for _, c, _ in all_edges]]
-        graph, sink_parity = surface._trial_graph(row, dg)
+        graph, sink_parity = surface._slice_graph(row[None], dg)
         dist = dijkstra(graph, directed=True)
         for pattern in range(1, 2 ** n_nodes):
             defects = [v for v in range(n_nodes) if pattern >> v & 1]
-            matched, parity = surface.decode_matching(defects, graph,
-                                                      sink_parity)
+            matched, parity = _decode(defects, graph, sink_parity)
             got = sum(dist[a, -1] if b == "boundary"
                       else dist[min(a, b), max(a, b)] for a, b in matched)
             hits = syndrome == pattern
