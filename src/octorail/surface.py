@@ -38,6 +38,8 @@ integer unknown times the symbol's step.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -682,24 +684,17 @@ def _rotated_layout(distance: int):
     complementary type crosses the grid horizontally, so homology is
     measured on the left column cut.
     """
-    d = distance
-    qubit_id = {(r, c): r * d + c for r in range(d) for c in range(d)}
-    stabs = []
-    for r in range(-1, d):
-        for c in range(d - 1):
-            if (r + c) % 2 != 0:
-                continue
-            members = [qubit_id[(rr, cc)]
-                       for rr in (r, r + 1) for cc in (c, c + 1)
-                       if 0 <= rr < d]
-            if members:
-                stabs.append(tuple(members))
+    d = distance  # qubit (r, c) is r * d + c
+    # the plaquette whose top-left corner is (r, c), for r + c even
+    stabs = [tuple(rr * d + cc for rr in (r, r + 1) for cc in (c, c + 1)
+                   if 0 <= rr < d)
+             for r in range(-1, d) for c in range(r % 2, d - 1, 2)]
     # stabilizers adjacent to each qubit (1 or 2 in this sector)
-    adjacency = {q: [] for q in qubit_id.values()}
+    adjacency = {q: [] for q in range(d * d)}
     for s_id, members in enumerate(stabs):
         for q in members:
             adjacency[q].append(s_id)
-    cut_qubits = {qubit_id[(r, 0)] for r in range(d)}
+    cut_qubits = {r * d for r in range(d)}
     return stabs, adjacency, cut_qubits
 
 
@@ -899,8 +894,8 @@ def decode_matching(defects, dist, bd, crossing):
     boundary is one sink node (see ``_DecodingGraph``).  ``dist`` holds
     the defects' mutual distances (upper triangle read), ``bd`` their
     distances to the sink, and ``crossing[i]`` the logical-cut crossing bit
-    of defect i's shortest boundary path: that of the edge by which its
-    anchor, the sink's predecessor, enters the sink (``_slice_paths``).
+    of defect i's shortest boundary path: the fixed bit of its anchor, the
+    sink's predecessor (``_slice_paths``, ``_DecodingGraph.crossing``).
     Returns (matched pairs, total cut-crossing parity of the correction).
 
     The cut runs along the open boundary (see ``_rotated_layout``): every
@@ -969,35 +964,47 @@ _SLICE_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class _DecodingGraph:
-    """Static structure of the space-time matching graph.
+    """Static structure of the memory experiment at one (distance, rounds),
+    built once by ``_decoding_graph``: the layout (``_rotated_layout``) and
+    the space-time matching graph.  Its arrays are read-only.
 
     Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``; the
-    last node is the open boundary, a sink.  A trial supplies its edge
-    weights as one row: the flip weight of every (round, qubit), then of
-    every (round, stabilizer readout), then +inf.  A slice of trials is
-    decoded on one block-diagonal graph (``_slice_graph``): trial i's block
-    is this structure with every node offset by ``i * n_nodes``, its own
-    sink included.
+    last node is the open boundary, a sink.  An anchor, a node with edges
+    to the open boundary, enters the sink by the lightest of them; they all
+    cross the cut or none do.  A trial supplies its edge weights as one
+    row: the flip weight of every (round, qubit), then of every (round,
+    stabilizer readout).  A slice of trials is decoded on one block-diagonal
+    graph (``_slice_graph``): trial i's block is this structure with every
+    node offset by ``i * n_nodes``, its own sink included.
     """
+    n_qubits: int
+    n_stabs: int
+    incidence: np.ndarray  # (n_qubits, n_stabs), 1 where a qubit is checked
+    cut: np.ndarray  # the left-column cut qubits, sorted
     n_nodes: int  # the sink included
     indices: np.ndarray  # CSR structure of the directed adjacency
     indptr: np.ndarray
     data_col: np.ndarray  # column of each CSR entry in the weight row
     # extended by one sink-edge weight per anchor
-    anchor_node: np.ndarray  # nodes with edges to the open boundary
-    anchor_col: np.ndarray  # their boundary edges' weight columns, in scan
-    # order, padded with the +inf column
-    anchor_crossing: np.ndarray  # whether each boundary edge crosses the cut
+    anchor_col: np.ndarray  # each anchor's boundary-edge weight columns,
+    # a short row padded with its own first column
+    crossing: np.ndarray  # True on anchors whose boundary edges cross the cut
 
 
-def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
+@lru_cache(maxsize=16)
+def _decoding_graph(distance: int, rounds: int) -> _DecodingGraph:
     from scipy.sparse import csr_matrix
 
+    stabs, adjacency, cut_qubits = _rotated_layout(distance)
     n_stabs = len(stabs)
     n_qubits = len(adjacency)
+    incidence = np.zeros((n_qubits, n_stabs), dtype=np.uint8)
+    for s_id, members in enumerate(stabs):
+        incidence[list(members), s_id] = 1
     sink = (rounds + 1) * n_stabs
+    crossing = np.zeros(sink + 1, dtype=bool)
     src, dst, col = [], [], []
-    boundary = {}  # anchor node -> [(weight column, crossing)]
+    boundary = {}  # anchor node -> its boundary edges' weight columns
     for layer in range(rounds):  # space edges exist on noisy layers only
         base = layer * n_stabs
         for q in range(n_qubits):
@@ -1007,13 +1014,14 @@ def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
                 dst.append(base + stabs_of_q[1])
                 col.append(layer * n_qubits + q)
             elif len(stabs_of_q) == 1:
-                boundary.setdefault(base + stabs_of_q[0], []).append(
-                    (layer * n_qubits + q, q in cut_qubits))
+                anchor = base + stabs_of_q[0]
+                boundary.setdefault(anchor, []).append(layer * n_qubits + q)
+                crossing[anchor] = q in cut_qubits
         for s_id in range(n_stabs):
             src.append(base + s_id)
             dst.append(base + n_stabs + s_id)
             col.append(rounds * n_qubits + base + s_id)
-    pad_col = rounds * (n_qubits + n_stabs)
+    n_cols = rounds * (n_qubits + n_stabs)
     anchors = list(boundary)
     # graph edges run both ways, sink edges into the sink only; no two
     # entries join the same nodes, so each CSR entry holds one slot
@@ -1021,57 +1029,52 @@ def _decoding_graph(stabs, adjacency, cut_qubits, rounds) -> _DecodingGraph:
     tails = np.array(dst + src + [sink] * len(anchors))
     slots = csr_matrix((np.arange(1.0, len(heads) + 1), (heads, tails)),
                        shape=(sink + 1, sink + 1))
-    data_col = np.array(col + col + list(range(pad_col + 1,
-                                               pad_col + 1 + len(anchors))))
+    data_col = np.array(col + col + list(range(n_cols, n_cols + len(anchors))))
     data_col = data_col[slots.data.astype(np.intp) - 1]
-
-    width = max(len(edges) for edges in boundary.values())
-    anchor_col = np.full((len(anchors), width), pad_col)
-    anchor_crossing = np.zeros((len(anchors), width), dtype=bool)
-    for i, edges in enumerate(boundary.values()):
-        anchor_col[i, :len(edges)], anchor_crossing[i, :len(edges)] = zip(
-            *edges)
-    return _DecodingGraph(sink + 1, slots.indices, slots.indptr, data_col,
-                          np.array(anchors), anchor_col, anchor_crossing)
+    width = max(len(cols) for cols in boundary.values())
+    anchor_col = np.array([cols + cols[:1] * (width - len(cols))
+                           for cols in boundary.values()])
+    cut = np.array(sorted(cut_qubits))
+    for array in (incidence, cut, slots.indices, slots.indptr, data_col,
+                  anchor_col, crossing):
+        array.flags.writeable = False
+    return _DecodingGraph(n_qubits, n_stabs, incidence, cut, sink + 1,
+                          slots.indices, slots.indptr, data_col, anchor_col,
+                          crossing)
 
 
 def _slice_graph(weights, dg: _DecodingGraph):
     """The block-diagonal sparse directed graph of a slice of trials, one
-    weight row each, and each node's sink-edge crossing bit (0 off the
-    anchors).  A slice of one trial is that trial's own graph.
+    weight row each.  A slice of one trial is that trial's own graph.
 
-    An anchor enters its trial's sink by its lightest boundary candidate,
-    the first in scan order under ties.  Each block repeats the trial
-    graph's node order and CSR entry order, so a Dijkstra from a node of
-    one block breaks ties as on that trial's graph alone.
+    An anchor enters its trial's sink by its lightest boundary edge.  Each
+    block repeats the trial graph's node order and CSR entry order, so a
+    Dijkstra from a node of one block breaks ties as on that trial's graph
+    alone.
     """
     from scipy.sparse import csr_matrix
 
     size = len(weights)
-    cand = weights[:, dg.anchor_col]
-    best = cand.argmin(axis=2)  # argmin returns the first minimum
-    data = np.concatenate([weights, cand.min(axis=2)], axis=1)[:, dg.data_col]
+    sink_w = weights[:, dg.anchor_col].min(axis=2)
+    data = np.concatenate([weights, sink_w], axis=1)[:, dg.data_col]
     nnz = len(dg.indices)
     blocks = np.arange(size, dtype=dg.indices.dtype)[:, None]
     indices = (dg.indices + blocks * dg.n_nodes).ravel()
     indptr = np.append((dg.indptr[:-1] + blocks * nnz).ravel(), size * nnz)
     n = size * dg.n_nodes
-    graph = csr_matrix((data.ravel(), indices, indptr), shape=(n, n))
-    sink_parity = np.zeros((size, dg.n_nodes), dtype=bool)
-    sink_parity[:, dg.anchor_node] = dg.anchor_crossing[
-        np.arange(len(dg.anchor_node)), best]
-    return graph, sink_parity.ravel()
+    return csr_matrix((data.ravel(), indices, indptr), shape=(n, n))
 
 
-def _slice_paths(graph, sink_parity, nodes, counts):
+def _slice_paths(graph, crossing, nodes, counts):
     """One Dijkstra from every defect of a slice of trials.
 
-    ``graph`` and ``sink_parity`` come from ``_slice_graph``; ``nodes``
-    lists the slice's defects trial by trial, in trial-local node ids, and
-    trial i has ``counts[i]`` of them.  Returns, per trial, its defects'
-    mutual distances, their distances to its sink, their anchors (the
-    trial-local id of the sink's predecessor, negative where no boundary
-    is reachable) and the cut-crossing bits of their boundary paths.
+    ``graph`` comes from ``_slice_graph`` and ``crossing`` is
+    ``_DecodingGraph.crossing``; ``nodes`` lists the slice's defects trial
+    by trial, in trial-local node ids, and trial i has ``counts[i]`` of
+    them.  Returns, per trial, its defects' mutual distances, their
+    distances to its sink and the cut-crossing bits of their boundary
+    paths: ``crossing`` at the sink's predecessor, the anchor, in
+    trial-local ids (False where no boundary is reachable).
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -1084,13 +1087,11 @@ def _slice_paths(graph, sink_parity, nodes, counts):
     sinks = offsets + (n_nodes - 1)
     bd = dist[rows, sinks]
     anchor = pred[rows, sinks]
-    reached = anchor >= 0
-    # a sink's own crossing bit is 0
-    crossing = sink_parity[np.where(reached, anchor, sinks)]
-    anchor = np.where(reached, anchor - offsets, anchor)
+    # an unreached sink reads its own crossing bit, which is False
+    bits = crossing[np.where(anchor >= 0, anchor, sinks) - offsets]
     mutual = dist[:, sources]
     ends = np.cumsum(counts).tolist()
-    return [(mutual[lo:hi, lo:hi], bd[lo:hi], anchor[lo:hi], crossing[lo:hi])
+    return [(mutual[lo:hi, lo:hi], bd[lo:hi], bits[lo:hi])
             for lo, hi in zip([0] + ends[:-1], ends)]
 
 
@@ -1122,11 +1123,13 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     matching weights.  The final readout round is noiseless.
 
     Trials are sampled and reduced to defects in blocks; only trials with
-    defects reach the decoder.  A block's decoded trials are split into
-    slices (``_slices``); each slice gets its flip weights, one
+    defects reach the decoder, on a graph structure built once per
+    (distance, rounds) (``_decoding_graph``).  A block's decoded trials are
+    split into slices (``_slices``); each slice gets its flip weights, one
     block-diagonal graph (``_slice_graph``) and one Dijkstra from all of
     its defects (``_slice_paths``), and then each trial is matched on its
-    own (``decode_matching``).
+    own (``decode_matching``).  NumPy integer counts are used, and echoed,
+    as Python ints.
     """
     for name, value in (("distance", distance), ("rounds", rounds),
                         ("trials", trials), ("seed", seed)):
@@ -1141,24 +1144,22 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         raise ValueError("trials must be positive")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if not (math.isfinite(squeezing_db) and squeezing_db > 0):
+    if (isinstance(squeezing_db, bool)
+            or not isinstance(squeezing_db, numbers.Real)
+            or not (math.isfinite(squeezing_db) and squeezing_db > 0)):
         raise ValueError(f"squeezing_db must be a finite level above 0 dB, "
-                         f"got {squeezing_db}")
+                         f"got {squeezing_db!r}")
+    # fixed-width NumPy counts would overflow in the products below
+    distance, rounds, trials, seed = map(operator.index,
+                                         (distance, rounds, trials, seed))
 
     delta_sq = 10 ** (-squeezing_db / 10)
     sigma = math.sqrt(2 * (delta_sq / 2) * 2)   # two hops per round
     sigma_m = math.sqrt(2 * (delta_sq / 2))     # one hop per readout
 
-    stabs, adjacency, cut_qubits = _rotated_layout(distance)
-    n_stabs = len(stabs)
-    n_qubits = distance * distance
-    n_q = rounds * n_qubits
-    n_cols = n_q + rounds * n_stabs
-    dg = _decoding_graph(stabs, adjacency, cut_qubits, rounds)
-    incidence = np.zeros((n_qubits, n_stabs), dtype=np.uint8)
-    for s_id, members in enumerate(stabs):
-        incidence[list(members), s_id] = 1
-    cut_list = sorted(cut_qubits)
+    dg = _decoding_graph(distance, rounds)
+    n_q = rounds * dg.n_qubits
+    n_cols = n_q + rounds * dg.n_stabs
 
     rng = np.random.default_rng(seed)
     failures = 0
@@ -1171,15 +1172,15 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         m_flips, m_resid = gkp_bin(sigma_m * z[:, n_q:])
 
         cum = np.logical_xor.accumulate(
-            flips.reshape(size, rounds, n_qubits), axis=1)
-        parity = ((cum.view(np.uint8) @ incidence) & 1).astype(bool)
+            flips.reshape(size, rounds, dg.n_qubits), axis=1)
+        parity = ((cum.view(np.uint8) @ dg.incidence) & 1).astype(bool)
         syndromes = np.concatenate(
-            [parity ^ m_flips.reshape(size, rounds, n_stabs),
+            [parity ^ m_flips.reshape(size, rounds, dg.n_stabs),
              parity[:, -1:]], axis=1)
         defect_grid = syndromes.copy()
         defect_grid[:, 1:] ^= syndromes[:, :-1]
         defect_grid = defect_grid.reshape(size, -1)
-        true_parity = cum[:, -1, cut_list].sum(axis=1) % 2
+        true_parity = cum[:, -1, dg.cut].sum(axis=1) % 2
         has_defects = defect_grid.any(axis=1)
         failures += int(true_parity[~has_defects].sum())
         decoded = np.flatnonzero(has_defects)
@@ -1191,13 +1192,12 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         for lo, hi in _slices(counts, dg.n_nodes):
             rows = decoded[lo:hi]
             # one weight row per trial, as _DecodingGraph lays it out
-            weights = np.empty((hi - lo, n_cols + 1))
+            weights = np.empty((hi - lo, n_cols))
             weights[:, :n_q] = _flip_weights(resid[rows], sigma)
-            weights[:, n_q:-1] = _flip_weights(m_resid[rows], sigma_m)
-            weights[:, -1] = np.inf
-            paths = _slice_paths(*_slice_graph(weights, dg),
+            weights[:, n_q:] = _flip_weights(m_resid[rows], sigma_m)
+            paths = _slice_paths(_slice_graph(weights, dg), dg.crossing,
                                  nodes[firsts[lo]:firsts[hi]], counts[lo:hi])
-            for i, (dist, bd, _, crossing) in enumerate(paths, lo):
+            for i, (dist, bd, crossing) in enumerate(paths, lo):
                 _, correction_parity = decode_matching(
                     node_list[firsts[i]:firsts[i + 1]], dist, bd, crossing)
                 failures += int(true_parity[decoded[i]]) ^ correction_parity

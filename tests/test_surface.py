@@ -445,7 +445,7 @@ def test_memory_experiment_validates_arguments():
         memory_experiment(3, 10.0, 0, 10, seed=0)
     with pytest.raises(ValueError):
         memory_experiment(3, 10.0, 3, 0, seed=0)
-    for db in (0.0, -3.0, math.nan, math.inf, -math.inf):
+    for db in (0.0, -3.0, math.nan, math.inf, -math.inf, True, "7"):
         with pytest.raises(ValueError, match="squeezing_db"):
             memory_experiment(3, db, 3, 10, seed=0)
     args = {"distance": 3, "squeezing_db": 10.0, "rounds": 3, "trials": 10,
@@ -461,6 +461,23 @@ def test_memory_experiment_validates_arguments():
     assert memory_experiment(np.int64(3), 10.0, np.int32(3), np.int64(10),
                              np.uint8(0)) == memory_experiment(3, 10.0, 3,
                                                                10, 0)
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.int16])
+def test_memory_experiment_takes_fixed_width_counts(kind):
+    """Fixed-width NumPy counts give the plain-int results and echo Python
+    ints: the rounds x stabilizers products and the Wilson interval's
+    trials^2 would overflow in uint8.  They run first on a cold cache, so
+    the plain-int runs after them reuse the graphs they cached."""
+    cases = [(3, 10.0, 20, 50, 0), (3, 10.0, 30, 50, 1),
+             (5, 9.0, 2, 255, 2)]
+    surface._decoding_graph.cache_clear()
+    fixed = [memory_experiment(kind(d), db, kind(r), kind(t), kind(seed))
+             for d, db, r, t, seed in cases]
+    assert fixed == [memory_experiment(*case) for case in cases]
+    for result in fixed:
+        for name in ("distance", "rounds", "trials", "failures", "seed"):
+            assert type(getattr(result, name)) is int
 
 
 # Seeded failures of memory_experiment(d, dB, rounds, 240, seed), recorded
@@ -543,8 +560,8 @@ def test_flip_weights_equal_the_written_out_sums():
 def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
                                                 flip):
     """The flip weights of a block's decoded trials, computed in slices,
-    are bit for bit each trial's own qubit weights, readout weights and
-    +inf; the weights and the graphs share one slicing, and no slice's
+    are bit for bit each trial's own qubit weights and readout weights;
+    the weights and the graphs share one slicing, and no slice's
     sources times nodes exceeds _SLICE_ENTRIES unless it is one trial.
     The program's weights are all floored to 1e-6 (its even and odd shifts
     are swapped), so only the stand-in shows a row landing on the wrong
@@ -568,9 +585,9 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
         rows.extend(weights.copy())
         return real_graph(weights, dg)
 
-    def spy_paths(graph, sink_parity, nodes, counts):
+    def spy_paths(graph, crossing, nodes, counts):
         slices.append((len(counts), len(nodes) * graph.shape[0]))
-        return real_paths(graph, sink_parity, nodes, counts)
+        return real_paths(graph, crossing, nodes, counts)
 
     monkeypatch.setattr(surface, "gkp_bin", spy_bin)
     monkeypatch.setattr(surface, "_flip_weights", spy_flip)
@@ -588,7 +605,7 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     (_, sigma), (_, sigma_m) = calls[:2]
     resid, m_resid = residuals
     per_trial = iter(np.concatenate([real_flip(r, sigma),
-                                     real_flip(m, sigma_m), [np.inf]])
+                                     real_flip(m, sigma_m)])
                      for r, m in zip(resid, m_resid))
     # the decoded trials' rows, in trial order
     for row in rows:
@@ -679,18 +696,16 @@ def _scan_oracle(distance, rounds):
 
 def _weight_rows(distance, rounds, weights, rng, count=4):
     """Trial weight rows: random multiples of 2^-12 in [0.05, 2), or every
-    weight floored to 1e-6 as _flip_weights floors them; the last column
-    is +inf.  Every path sum of either kind is exact in floating point, so a
-    distance does not depend on the direction it is summed in."""
+    weight floored to 1e-6 as _flip_weights floors them.  Every path sum of
+    either kind is exact in floating point, so a distance does not depend on
+    the direction it is summed in."""
     n_stabs = len(surface._rotated_layout(distance)[0])
     n_cols = rounds * (distance * distance + n_stabs)
     for _ in range(count):
         if weights == "tied":
-            row = np.full(n_cols + 1, 1e-6)
+            yield np.full(n_cols, 1e-6)
         else:
-            row = rng.integers(205, 8192, n_cols + 1) / 4096
-        row[n_cols] = np.inf
-        yield row
+            yield rng.integers(205, 8192, n_cols) / 4096
 
 
 def _sink_graph(edges, row, n_nodes, keep=None):
@@ -719,7 +734,7 @@ def test_boundary_pass_matches_scan_oracle(distance, weights):
     """The boundary pass is the sink column of a slice's one Dijkstra,
     here a slice of one trial: each node's distance to the sink is the scan's boundary
     distance exactly, and the sink's predecessor names the anchor whose
-    boundary edge gives the cut parity.  Dijkstra's predecessor, not a
+    static crossing bit gives the cut parity.  Dijkstra's predecessor, not a
     first-anchor scan, breaks ties, so under ties the parity must be that
     of one of the tied minimising anchors."""
     from scipy.sparse.csgraph import dijkstra
@@ -727,12 +742,12 @@ def test_boundary_pass_matches_scan_oracle(distance, weights):
     rounds = 2
     layout, edges, oracle = _scan_oracle(distance, rounds)
     n_stabs = len(layout[0])
-    dg = surface._decoding_graph(*layout, rounds)
+    dg = surface._decoding_graph(distance, rounds)
     sink = dg.n_nodes - 1
     assert sink == (rounds + 1) * n_stabs
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(distance)):
-        graph, sink_parity = surface._slice_graph(row[None], dg)
+        graph = surface._slice_graph(row[None], dg)
         fresh = _sink_graph(edges, row, dg.n_nodes)
         assert np.array_equal(graph.indices, fresh.indices)
         assert np.array_equal(graph.indptr, fresh.indptr)
@@ -748,7 +763,7 @@ def test_boundary_pass_matches_scan_oracle(distance, weights):
             bd = dist[:, sink]
             want_dist, want_path, tied = oracle(g[:sink, :sink], row)
             assert np.array_equal(bd, want_dist[:sink])
-            parity = np.array([sink_parity[p] if p >= 0 else 0
+            parity = np.array([dg.crossing[p] if p >= 0 else 0
                                for p in pred[:, sink]])
             if weights == "random":
                 assert all(len(t) == 1 for t in tied[:rounds * n_stabs])
@@ -916,11 +931,11 @@ def _decoded_trials(distance, db, rounds, count, seed):
     return calls
 
 
-def _decode(defects, graph, sink_parity):
+def _decode(defects, graph, crossing):
     """decode_matching on one trial's graph, a slice of one trial."""
-    (dist, bd, _, crossing), = surface._slice_paths(
-        graph, sink_parity, np.array(defects), [len(defects)])
-    return surface.decode_matching(defects, dist, bd, crossing)
+    (dist, bd, bits), = surface._slice_paths(
+        graph, crossing, np.array(defects), [len(defects)])
+    return surface.decode_matching(defects, dist, bd, bits)
 
 
 def _slice_runs(distance, db, rounds, trials, seed):
@@ -933,8 +948,8 @@ def _slice_runs(distance, db, rounds, trials, seed):
         runs.append([weights.copy(), dg])
         return real_graph(weights, dg)
 
-    def spy_paths(graph, sink_parity, nodes, counts):
-        paths = real_paths(graph, sink_parity, nodes, counts)
+    def spy_paths(graph, crossing, nodes, counts):
+        paths = real_paths(graph, crossing, nodes, counts)
         runs[-1] += [nodes.tolist(), list(counts), paths]
         return paths
 
@@ -950,15 +965,15 @@ def _slice_runs(distance, db, rounds, trials, seed):
 @pytest.mark.parametrize("budget", ["default", "one trial"])
 def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
                                               budget, flip):
-    """Each trial's distances, boundary distances and anchors, read off its
-    slice's one Dijkstra on the block-diagonal graph, are those of a
-    Dijkstra on a fresh graph of that trial alone, ties broken alike; its
-    crossing bits are those of its anchors' lightest boundary edges, the
-    first in scan order under ties.  The program's weights are all floored
-    to 1e-6, so ties are everywhere and every trial's graph is the same;
-    the stand-in's weights differ from trial to trial, so they show a trial
-    read off another's block.  With a budget of 0 every slice is one
-    trial; with the default one, slices end inside the block."""
+    """Each trial's distances and boundary distances, read off its slice's
+    one Dijkstra on the block-diagonal graph, are those of a Dijkstra on a
+    fresh graph of that trial alone; its crossing bits are those of the
+    boundary edges of the anchors that this Dijkstra names as the sink's
+    predecessors, so ties must be broken alike.  The program's weights are
+    all floored to 1e-6, so ties are everywhere and every trial's graph is
+    the same; the stand-in's weights differ from trial to trial, so they
+    show a trial read off another's block.  With a budget of 0 every slice
+    is one trial; with the default one, slices end inside the block."""
     from scipy.sparse.csgraph import dijkstra
 
     if budget == "one trial":
@@ -978,8 +993,7 @@ def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
     for weights, dg, nodes, counts, paths in runs:
         sink = dg.n_nodes - 1
         first = 0
-        for row, count, (dist, bd, anchor, crossing) in zip(weights, counts,
-                                                             paths):
+        for row, count, (dist, bd, crossing) in zip(weights, counts, paths):
             defects = nodes[first:first + count]
             first += count
             fresh = _sink_graph(edges, row, dg.n_nodes)
@@ -987,8 +1001,7 @@ def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
                                   return_predecessors=True)
             assert np.array_equal(dist, want[:, defects])
             assert np.array_equal(bd, want[:, sink])
-            assert np.array_equal(anchor, pred[:, sink])
-            for a, bit in zip(anchor, crossing):
+            for a, bit in zip(pred[:, sink], crossing):
                 lightest = [(row[c], x) for v, c, x in boundary_edges
                             if v == a]
                 least = min(w for w, _ in lightest) if lightest else None
@@ -1055,17 +1068,16 @@ def test_unmatched_defect_raises(monkeypatch, cap):
     rounds, distance = 2, 3
     layout, edges, _ = _scan_oracle(distance, rounds)
     n_stabs = len(layout[0])
-    dg = surface._decoding_graph(*layout, rounds)
+    dg = surface._decoding_graph(distance, rounds)
     row = next(_weight_rows(distance, rounds, "random",
                             np.random.default_rng(0), 1))
     keep = np.array(edges[1]) < rounds * n_stabs
     cut_off = _sink_graph(edges, row, dg.n_nodes, keep)
-    sink_parity = surface._slice_graph(row[None], dg)[1]
     last = rounds * n_stabs
-    assert _decode([0, 1], cut_off, sink_parity)[0]
+    assert _decode([0, 1], cut_off, dg.crossing)[0]
     for defects in ([0, last], [last, last + 1], [0, 1, last + 2]):
         with pytest.raises(ValueError, match="neither the boundary"):
-            _decode(defects, cut_off, sink_parity)
+            _decode(defects, cut_off, dg.crossing)
     # components of one or two defects never reach a solver, so a solver
     # sees an unmatchable defect in three that no boundary reaches
     with pytest.raises(ValueError, match="neither the boundary"):
@@ -1082,7 +1094,7 @@ def test_decoder_matches_brute_force_correction(weights):
     distance, rounds = 3, 1
     layout, edges, _ = _scan_oracle(distance, rounds)
     src, dst, col, boundary_edges = edges
-    dg = surface._decoding_graph(*layout, rounds)
+    dg = surface._decoding_graph(distance, rounds)
     n_nodes = dg.n_nodes - 1  # without the sink
     cut_qubits = layout[2]
     # every edge as (node set, weight column, crossing bit)
@@ -1099,11 +1111,11 @@ def test_decoder_matches_brute_force_correction(weights):
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(11)):
         weight = subsets @ row[[c for _, c, _ in all_edges]]
-        graph, sink_parity = surface._slice_graph(row[None], dg)
+        graph = surface._slice_graph(row[None], dg)
         dist = dijkstra(graph, directed=True)
         for pattern in range(1, 2 ** n_nodes):
             defects = [v for v in range(n_nodes) if pattern >> v & 1]
-            matched, parity = _decode(defects, graph, sink_parity)
+            matched, parity = _decode(defects, graph, dg.crossing)
             got = sum(dist[a, -1] if b == "boundary"
                       else dist[min(a, b), max(a, b)] for a, b in matched)
             hits = syndrome == pattern
@@ -1117,7 +1129,46 @@ def test_decoder_matches_brute_force_correction(weights):
 def test_cut_is_crossed_by_boundary_edges_only(distance):
     """decode_matching adds no cut parity for a match between two defects
     and takes a boundary path's parity from its boundary edge: every cut
-    qubit belongs to one stabilizer, so no graph edge crosses the cut."""
+    qubit belongs to one stabilizer, so no graph edge crosses the cut.  The
+    boundary qubits of each anchor lie all in the cut or all out of it, so
+    the crossing bit is a fixed property of the anchor, whichever of its
+    boundary edges is the lightest."""
     stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
     assert len(cut_qubits) == distance
     assert all(len(adjacency[q]) == 1 for q in cut_qubits)
+    for rounds in (1, 3):
+        dg = surface._decoding_graph(distance, rounds)
+        assert dg.cut.tolist() == sorted(cut_qubits)
+        in_cut = {}  # anchor node -> cut membership of its boundary qubits
+        for layer in range(rounds):
+            for q, stabs_of_q in adjacency.items():
+                if len(stabs_of_q) == 1:
+                    anchor = layer * len(stabs) + stabs_of_q[0]
+                    in_cut.setdefault(anchor, set()).add(q in cut_qubits)
+        assert all(len(members) == 1 for members in in_cut.values())
+        want = np.zeros(dg.n_nodes, dtype=bool)
+        for anchor, (member,) in in_cut.items():
+            want[anchor] = member
+        assert want.any() and np.array_equal(dg.crossing, want)
+
+
+def test_decoding_graph_is_built_once_per_shape(monkeypatch):
+    """The same (distance, rounds) returns one read-only graph; after the
+    cache is cleared, repeated runs build the layout once, and cold-cache
+    and warm-cache runs give equal results."""
+    dg = surface._decoding_graph(5, 3)
+    assert surface._decoding_graph(5, 3) is dg
+    arrays = [v for v in vars(dg).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    calls = []
+    real = surface._rotated_layout
+    monkeypatch.setattr(surface, "_rotated_layout",
+                        lambda d: calls.append(d) or real(d))
+    surface._decoding_graph.cache_clear()
+    args = (5, 11.0, 3, 300, 2)
+    cold = memory_experiment(*args)
+    assert [memory_experiment(*args) for _ in range(3)] == [cold] * 3
+    assert calls == [5]
