@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -323,6 +325,12 @@ def fidelity(a: GridWavefunction, b: GridWavefunction) -> float:
     return abs(overlap(a.normalized(), b.normalized())) ** 2
 
 
+#: Points per slab of the peaks-by-points array in qunaught_amplitude: a
+#: 1-D grid table is one slab, and a 2-D argument never holds all peaks
+#: against all points at once.
+_POINTS_PER_SLAB = 4096
+
+
 def qunaught_amplitude(x, delta_sq: float):
     """Position amplitude (unnormalized) of a damped qunaught state.
 
@@ -338,12 +346,19 @@ def qunaught_amplitude(x, delta_sq: float):
     th, ch = math.tanh(beta), math.cosh(beta)
     x = np.asarray(x, dtype=float)
     kmax = int(np.ceil(np.abs(x).max() / QUNAUGHT_SPACING)) + 2
-    out = np.zeros_like(x)
-    for k in range(-kmax, kmax + 1):
-        mu = k * QUNAUGHT_SPACING
-        out += (math.exp(-0.5 * th * mu * mu)
-                * np.exp(-(x - mu / ch) ** 2 / (2 * th)))
-    return out
+    mus = np.arange(-kmax, kmax + 1) * QUNAUGHT_SPACING
+    envelope = np.array([math.exp(-0.5 * th * mu * mu) for mu in mus])
+    centers = mus / ch
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    # one row per peak against a slab of points; the sum over the rows adds
+    # the peaks in order, as accumulating them one at a time would
+    for i in range(0, flat.size, _POINTS_PER_SLAB):
+        part = flat[i:i + _POINTS_PER_SLAB]
+        out[i:i + _POINTS_PER_SLAB] = (
+            envelope[:, None]
+            * np.exp(-(part - centers[:, None]) ** 2 / (2 * th))).sum(axis=0)
+    return out.reshape(x.shape)
 
 
 def make_qunaught(delta_sq: float, grid: Grid | None = None) -> GridWavefunction:
@@ -364,6 +379,9 @@ def make_gaussian_wavepacket(grid: Grid, x0: float = 0.0, p0: float = 0.0,
                              variance: float = 0.5) -> GridWavefunction:
     """Normalized Gaussian wavepacket; the default variance 1/2 is the
     vacuum state."""
+    for name, value in (("x0", x0), ("p0", p0), ("variance", variance)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if variance <= 0:
         raise ValueError("variance must be positive")
     axis = grid.axis
@@ -379,9 +397,14 @@ def fourier_wavefunction(wf: GridWavefunction) -> GridWavefunction:
     return GridWavefunction(wf.grid, kernel @ wf.amplitudes * wf.grid.dx)
 
 
-def _damping_kernel(beta: float, axis: np.ndarray) -> np.ndarray:
+def _damping_kernel(beta: float, xs: np.ndarray,
+                    ys: np.ndarray) -> np.ndarray:
+    """Unnormalized position kernel K(x, y) of the damping operator
+    exp(-beta * n), with x over ``xs`` (rows) and y over ``ys`` (columns).
+    The full operator on a grid passes its axis twice; a sum over a subset
+    of columns needs only those points as ``ys``."""
     sh, ch = math.sinh(beta), math.cosh(beta)
-    xs, ys = axis[:, None], axis[None, :]
+    xs, ys = xs[:, None], ys[None, :]
     return np.exp(-((xs ** 2 + ys ** 2) * ch - 2 * xs * ys) / (2 * sh))
 
 
@@ -530,7 +553,7 @@ def knill_oracle(input_wf: GridWavefunction, delta_sq: float,
     psi = np.fft.ifft(np.fft.fft(input_wf.amplitudes)
                       * np.exp(-1j * k * shift_x))
     psi = psi * np.exp(1j * shift_p * axis)
-    kernel = _damping_kernel(beta, axis)
+    kernel = _damping_kernel(beta, axis, axis)
     psi = kernel @ psi
     psi = code_projection(GridWavefunction(grid, psi)).amplitudes
     psi = kernel @ psi
@@ -566,53 +589,107 @@ class MagicProbeResult:
 
 
 def _probe_kernels(delta_sq: float, grid: Grid):
-    """Bell-pair and damping kernels of a magic probe, for every sample.
+    """Bell kernel and damped code combs of a magic probe, for every sample.
 
     On the grid the Bell kernel's first factor depends only on i + j and
     its second only on j - i, so both are read from one qunaught table on
     the half-step points: bell[i, j] = table[i + j] * table[j - i + 2h],
     the same values as ``_bell_amplitude(axis, axis[None, :], delta_sq)``
     up to rounding.
+
+    The ideal code projection puts a state's spike sums c0 and c1 on the
+    even and odd sqrt(pi) spikes, so the damped projection is
+    c0 * combs[0] + c1 * combs[1], where combs[j][x] = sum over the spikes
+    y of set j of the damping kernel K(x, y).  Each comb needs the kernel
+    against its own spikes only: 7 and 6 of the 193 points on the default
+    grid.
     """
-    if not 0 < delta_sq < math.inf:
+    if (isinstance(delta_sq, bool) or not isinstance(delta_sq, numbers.Real)
+            or not 0 < delta_sq < math.inf):
         raise ValueError("delta_sq must be finite and positive, "
-                         f"got {delta_sq}")
+                         f"got {delta_sq!r}")
     table = qunaught_amplitude(_half_step_points(grid), delta_sq)
-    return (_hankel_toeplitz(table, table),
-            _damping_kernel(math.asinh(delta_sq), grid.axis))
-
-
-def _probe_sample(alpha: complex, grid: Grid, bell: np.ndarray,
-                  damping: np.ndarray) -> MagicProbeSample:
+    beta = math.asinh(delta_sq)
     axis = grid.axis
-    coherent = (math.pi ** -0.25
-                * np.exp(-(axis - math.sqrt(2) * alpha.real) ** 2 / 2
-                         + 1j * math.sqrt(2) * alpha.imag * axis))
-    out = np.conj(coherent) @ bell * grid.dx
-    wf = GridWavefunction(grid, out)
-    weight = wf.norm() ** 2
-    wf = wf.normalized()
-    c0, c1 = logical_amplitudes(wf)
-    norm = abs(c0) ** 2 + abs(c1) ** 2
-    bloch = ((2 * (np.conj(c0) * c1).real / norm),
-             (2 * (np.conj(c0) * c1).imag / norm),
-             (abs(c0) ** 2 - abs(c1) ** 2) / norm)
-    r = np.array(bloch)
-    dist = float(np.linalg.norm(r - _H_TYPE_AXES, axis=1).min()) / 2
-    # projection onto the approximate code manifold: ideal comb projection
-    # followed by the same finite-squeezing damping as the source states
-    proj = damping @ code_projection(wf).amplitudes
-    proj_wf = GridWavefunction(grid, proj)
-    pf = fidelity(wf, proj_wf) if proj_wf.norm() > 0 else 0.0
-    return MagicProbeSample(alpha, weight, bloch, dist, pf)
+    combs = np.array([_damping_kernel(beta, axis, axis[mask]).sum(axis=1)
+                      for mask in _code_masks(grid)])
+    return _hankel_toeplitz(table, table), combs
+
+
+def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` times ``matrix`` (or times its own matrix, when
+    ``matrix`` is stacked like the rows), as one product per row.  A
+    stacked product rounds a row the same way whatever the number of rows;
+    a 2-D product or a sum over an axis does not."""
+    return np.matmul(rows[..., None, :], matrix)[..., 0, :]
+
+
+def _probe_samples(alphas: np.ndarray, grid: Grid, bell: np.ndarray,
+                   combs: np.ndarray) -> list:
+    """Conditional states of one Bell-pair half for the coherent values
+    ``alphas`` (shape (n,)), evaluated together.
+
+    Each state is u = conj(coherent) @ bell * dx, built from two real
+    products with the kernel, one for the real part and one for the
+    imaginary part.  The weight is ||u||^2.  Everything else is closed form
+    in the spike sums c_j and the comb overlaps p_j = sum u * combs[j]: the
+    Bloch vector of (c0, c1), its distance to the nearest H-type axis, and
+    the fidelity |c0 conj(p0) + c1 conj(p1)|^2 / (||u||^2 ||proj||^2) of u
+    with its damped projection proj = c0 combs[0] + c1 combs[1], where
+    ||proj||^2 = sum_jk conj(c_j) c_k combs[j] . combs[k].  Every reduction
+    is a per-row product (``_row_products``), so a sample's record does not
+    depend on the other samples of the batch.
+    """
+    axis, dx = grid.axis, grid.dx
+    shift = math.sqrt(2) * alphas.real[:, None]
+    phase = math.sqrt(2) * alphas.imag[:, None] * axis
+    envelope = math.pi ** -0.25 * np.exp(-(axis - shift) ** 2 / 2)
+    # the real and imaginary parts of conj(coherent), then of u
+    u = _row_products(np.stack([envelope * np.cos(phase),
+                                -envelope * np.sin(phase)]), bell) * dx
+    re_sq, im_sq = _row_products(u, u[..., None])[..., 0]
+    norm_sq = re_sq + im_sq
+    if not norm_sq.all():
+        raise ValueError("cannot normalize the zero wavefunction")
+    masks = _code_masks(grid)
+    # columns: the two spike indicators, then the two combs
+    sums = _row_products(u, np.column_stack([*masks, *combs]))
+    (a0, a1, q0, q1), (b0, b1, s0, s1) = np.moveaxis(sums, -1, 1)
+    pop0, pop1 = a0 * a0 + b0 * b0, a1 * a1 + b1 * b1
+    cross_re, cross_im = a0 * a1 + b0 * b1, a0 * b1 - b0 * a1
+    pop = pop0 + pop1
+    bloch = np.stack([2 * cross_re / pop, 2 * cross_im / pop,
+                      (pop0 - pop1) / pop], axis=1)
+    offsets = bloch[:, None, :] - _H_TYPE_AXES
+    dist = np.sqrt(offsets[..., 0] ** 2 + offsets[..., 1] ** 2
+                   + offsets[..., 2] ** 2).min(axis=1) / 2
+    gram = combs @ combs.T
+    overlap_re = a0 * q0 + b0 * s0 + a1 * q1 + b1 * s1
+    overlap_im = b0 * q0 - a0 * s0 + b1 * q1 - a1 * s1
+    proj_sq = (pop0 * gram[0, 0] + pop1 * gram[1, 1]
+               + 2 * cross_re * gram[0, 1])
+    pf = (overlap_re ** 2 + overlap_im ** 2) / (norm_sq * proj_sq)
+    return [MagicProbeSample(alpha, weight, tuple(r), d, f)
+            for alpha, weight, r, d, f in zip(
+                alphas.tolist(), (norm_sq * dx).tolist(), bloch.tolist(),
+                dist.tolist(), pf.tolist())]
 
 
 def magic_probe_single(delta_sq: float, alpha: complex,
                        grid: Grid | None = None) -> MagicProbeSample:
     """Project one half of a qunaught Bell pair onto the coherent value
     alpha and report the logical content of the other half."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     grid = grid or default_grid()
-    return _probe_sample(alpha, grid, *_probe_kernels(delta_sq, grid))
+    return _probe_samples(np.array([alpha]), grid,
+                          *_probe_kernels(delta_sq, grid))[0]
+
+
+#: Samples evaluated together by heterodyne_magic_probe; a block's arrays
+#: take about 3 KB per sample on the default grid.
+_PROBE_BLOCK = 256
 
 
 def heterodyne_magic_probe(delta_sq: float, samples: int,
@@ -623,23 +700,39 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     Coherent values are proposed from a broad Gaussian and reweighted by
     the exact outcome likelihood; the summary reports the weighted fraction
     of conditional states whose Bloch vector lies within trace distance
-    0.15 of a two-component (magic-type) axis.
+    0.15 of a two-component (magic-type) axis.  All coherent values are
+    drawn first, then evaluated in blocks of ``_PROBE_BLOCK`` against one
+    Bell kernel and one pair of damped combs (``_probe_kernels``,
+    ``_probe_samples``); each record equals what ``magic_probe_single``
+    gives for its alpha.  NumPy integer counts are used, and echoed, as
+    Python ints.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    samples, seed = operator.index(samples), operator.index(seed)
     grid = grid or default_grid()
     kernels = _probe_kernels(delta_sq, grid)
     rng = np.random.default_rng(seed)
     std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
+    # one (re, im) pair per row: the same draws, in the same order, as
+    # alternating scalar draws
+    alphas = rng.normal(0, std, size=(samples, 2)).view(complex)[:, 0]
     records = []
-    for _ in range(samples):
-        alpha = complex(rng.normal(0, std), rng.normal(0, std))
-        sample = _probe_sample(alpha, grid, *kernels)
-        proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
-                    * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
-        records.append(MagicProbeSample(alpha, sample.weight / proposal,
-                                        sample.bloch, sample.h_axis_distance,
-                                        sample.projection_fidelity))
+    for start in range(0, samples, _PROBE_BLOCK):
+        for sample in _probe_samples(alphas[start:start + _PROBE_BLOCK],
+                                     grid, *kernels):
+            alpha = sample.alpha
+            proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
+                        * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
+            records.append(MagicProbeSample(
+                alpha, sample.weight / proposal, sample.bloch,
+                sample.h_axis_distance, sample.projection_fidelity))
     total = sum(r.weight for r in records)
     near = sum(r.weight for r in records if r.h_axis_distance <= 0.15)
     return MagicProbeResult(delta_sq, records,

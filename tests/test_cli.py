@@ -249,6 +249,29 @@ def test_surface_memory_rejects_negative_seed(capsys):
     assert err == "error: seed must be non-negative, got -3\n"
 
 
+def test_gkp_magic_probe_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gkp", "magic-probe", "--seed", "-3", "--samples", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("name, value", [("samples", 10.5), ("seed", 2.5),
+                                         ("samples", True)])
+def test_gkp_magic_probe_rejects_non_integer_config_count(capsys, tmp_path,
+                                                          name, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "gkp", "magic-probe"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name} must be an integer, got {value!r}\n"
+
+
 def test_surface_memory_rejects_fractional_config_count(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 10.5}))

@@ -6,18 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from octorail.gates import (FOURIER, DegenerateMeasurementError,
                             teleported_gate_v)
-from octorail.gkp import (SQRT_PI, Encoding, Grid, GridWavefunction,
-                          custom_encoding, db_conversion, decompose_rpr,
-                          default_grid, fidelity, fine_grid,
-                          fourier_wavefunction, heterodyne_magic_probe,
+from octorail.gkp import (QUNAUGHT_SPACING, SQRT_PI, Encoding, Grid,
+                          GridWavefunction, code_projection, custom_encoding,
+                          db_conversion, decompose_rpr, default_grid,
+                          fidelity, fine_grid, fourier_wavefunction,
+                          heterodyne_magic_probe,
                           hexagonal_encoding, knill_oracle, knill_step,
                           logical_action, logical_amplitudes,
                           magic_probe_single, make_gaussian_wavepacket,
                           make_qunaught, p_error, p_error_tail_oracle,
-                          rectangular_encoding, square_encoding,
-                          transform_angles, transpose_map)
-from octorail.gkp import (_bell_amplitude, _code_masks, _interpolant,
-                          _probe_kernels, _x_marginal)
+                          qunaught_amplitude, rectangular_encoding,
+                          square_encoding, transform_angles, transpose_map)
+from octorail.gkp import (_bell_amplitude, _code_masks, _damping_kernel,
+                          _half_step_points, _interpolant, _probe_kernels,
+                          _x_marginal)
 from octorail.phasespace import (SymplecticMap, make_rotation, make_shear,
                                  make_squeeze)
 
@@ -258,6 +260,44 @@ def test_qunaught_peak_spacing():
     assert np.allclose(spacing, math.sqrt(2 * math.pi), atol=qn.grid.dx)
 
 
+def _qunaught_loop(x, delta_sq):
+    """Reference for qunaught_amplitude: the damped peaks added one at a
+    time."""
+    beta = math.asinh(delta_sq)
+    th, ch = math.tanh(beta), math.cosh(beta)
+    x = np.asarray(x, dtype=float)
+    kmax = int(np.ceil(np.abs(x).max() / QUNAUGHT_SPACING)) + 2
+    out = np.zeros_like(x)
+    for k in range(-kmax, kmax + 1):
+        mu = k * QUNAUGHT_SPACING
+        out += (math.exp(-0.5 * th * mu * mu)
+                * np.exp(-(x - mu / ch) ** 2 / (2 * th)))
+    return out
+
+
+@pytest.mark.parametrize("make_grid", [default_grid, fine_grid])
+def test_qunaught_amplitude_equals_peak_loop(make_grid):
+    """All peaks at once add up in the loop's order: bit for bit on the
+    axis, the half-step points and, at three levels, the 2-D rotated
+    coordinates the Bell amplitude evaluates (several slabs of points)."""
+    grid = make_grid()
+    axis, points = grid.axis, _half_step_points(grid)
+    rotated = (axis[:, None] + axis[None, :]) / math.sqrt(2)
+    for db in np.arange(5.0, 20.25, 0.25):
+        delta_sq = 10 ** (-db / 10)
+        cases = [axis, points] + ([rotated] if db in (7, 10, 13) else [])
+        for x in cases:
+            assert np.array_equal(qunaught_amplitude(x, delta_sq),
+                                  _qunaught_loop(x, delta_sq)), (db, x.shape)
+
+
+@pytest.mark.parametrize("name", ["x0", "p0", "variance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_wavepacket_rejects_non_finite_arguments(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_gaussian_wavepacket(default_grid(), **{name: bad})
+
+
 def test_wavefunction_normalization_invariant():
     g = default_grid()
     wf = GridWavefunction(g, np.exp(-g.axis ** 2)).normalized()
@@ -383,23 +423,100 @@ def test_probe_outputs_stay_near_code_manifold():
 @pytest.mark.parametrize("delta_sq, seed", [(0.05, 3), (0.08, 11),
                                             (10 ** -1.2, 2024)])
 def test_heterodyne_probe_equals_single_sample_calls(delta_sq, seed):
-    """The probe computes its kernels once; every field must equal what a
-    fresh per-sample magic_probe_single call gives, exactly."""
-    samples = 4
-    result = heterodyne_magic_probe(delta_sq, samples, seed)
-    rng = np.random.default_rng(seed)
-    std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
-    assert len(result.samples) == samples
-    for record in result.samples:
-        alpha = complex(rng.normal(0, std), rng.normal(0, std))
-        single = magic_probe_single(delta_sq, alpha)
-        proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
-                    * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
-        assert record.alpha == single.alpha == alpha
-        assert record.weight == single.weight / proposal
-        assert record.bloch == single.bloch
-        assert record.h_axis_distance == single.h_axis_distance
-        assert record.projection_fidelity == single.projection_fidelity
+    """The probe computes its kernels once and evaluates its samples
+    together; at every sample count, every field must equal what a fresh
+    per-sample magic_probe_single call gives, exactly."""
+    for samples in (4, 1, 3, 8, 30):
+        result = heterodyne_magic_probe(delta_sq, samples, seed)
+        rng = np.random.default_rng(seed)
+        std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
+        assert len(result.samples) == samples
+        for record in result.samples:
+            alpha = complex(rng.normal(0, std), rng.normal(0, std))
+            single = magic_probe_single(delta_sq, alpha)
+            proposal = (math.exp(-abs(alpha.real) ** 2 / (2 * std * std))
+                        * math.exp(-abs(alpha.imag) ** 2 / (2 * std * std)))
+            assert record.alpha == single.alpha == alpha
+            assert record.weight == single.weight / proposal
+            assert record.bloch == single.bloch
+            assert record.h_axis_distance == single.h_axis_distance
+            assert record.projection_fidelity == single.projection_fidelity
+
+
+def _probe_oracle(alpha, grid, bell, damping):
+    """One probe sample the long way: the conditional state from a complex
+    product with the Bell kernel, and its damped projection from the full
+    damping kernel applied to the ideal code projection."""
+    axis = grid.axis
+    coherent = (math.pi ** -0.25
+                * np.exp(-(axis - math.sqrt(2) * alpha.real) ** 2 / 2
+                         + 1j * math.sqrt(2) * alpha.imag * axis))
+    wf = GridWavefunction(grid, np.conj(coherent) @ bell * grid.dx)
+    weight = wf.norm() ** 2
+    wf = wf.normalized()
+    c0, c1 = logical_amplitudes(wf)
+    norm = abs(c0) ** 2 + abs(c1) ** 2
+    bloch = np.array([2 * (np.conj(c0) * c1).real, 2 * (np.conj(c0) * c1).imag,
+                      abs(c0) ** 2 - abs(c1) ** 2]) / norm
+    proj = GridWavefunction(grid, damping @ code_projection(wf).amplitudes)
+    return weight, bloch, fidelity(wf, proj)
+
+
+@pytest.mark.parametrize("make_grid", [default_grid, fine_grid])
+def test_probe_comb_shortcut_matches_full_damping_kernel(make_grid):
+    """The closed forms over the two damped combs give the weight, Bloch
+    vector and projection fidelity of the full-kernel computation."""
+    grid = make_grid()
+    axis = grid.axis
+    rng = np.random.default_rng(19)
+    for db in range(7, 14):
+        delta_sq = 10 ** (-db / 10)
+        bell = _bell_amplitude(axis, axis[None, :], delta_sq)
+        damping = _damping_kernel(math.asinh(delta_sq), axis, axis)
+        std = math.sqrt((1 / (2 * delta_sq) + 0.5) / 2)
+        for re, im in rng.normal(0, std, size=(4, 2)):
+            alpha = complex(re, im)
+            sample = magic_probe_single(delta_sq, alpha, grid)
+            weight, bloch, pf = _probe_oracle(alpha, grid, bell, damping)
+            assert abs(sample.projection_fidelity - pf) <= 1e-12, (db, alpha)
+            assert sample.weight == pytest.approx(weight, rel=1e-12)
+            assert np.abs(np.array(sample.bloch) - bloch).max() <= 1e-12
+
+
+def test_probe_raises_on_a_vanishing_conditional_state():
+    """Far off the grid the coherent state underflows to zero on every
+    point; the probe says so instead of returning NaN."""
+    for alpha in (40 + 0j, -40 + 0j):
+        with pytest.raises(ValueError,
+                           match="cannot normalize the zero wavefunction"):
+            magic_probe_single(0.05, alpha)
+
+
+@pytest.mark.parametrize("alpha", [complex(math.nan, 0), complex(0, math.inf),
+                                   complex(-math.inf, 1)])
+def test_probe_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        magic_probe_single(0.05, alpha)
+
+
+def test_heterodyne_probe_validates_arguments():
+    for delta_sq in (True, math.nan, math.inf, 0.0, -0.05, "0.05"):
+        with pytest.raises(ValueError, match="delta_sq must be finite"):
+            heterodyne_magic_probe(delta_sq, 2, 1)
+    for name in ("samples", "seed"):
+        args = {"delta_sq": 0.05, "samples": 2, "seed": 1}
+        for bad in (True, 2.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an "
+                                                 "integer"):
+                heterodyne_magic_probe(**{**args, name: bad})
+    with pytest.raises(ValueError, match="samples must be positive"):
+        heterodyne_magic_probe(0.05, 0, 1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        heterodyne_magic_probe(0.05, 2, -1)
+    # NumPy integers are integers, and are echoed as Python ints
+    fixed = heterodyne_magic_probe(0.05, np.uint8(3), np.int16(7))
+    assert fixed == heterodyne_magic_probe(0.05, 3, 7)
+    assert type(fixed.seed) is int
 
 @pytest.mark.parametrize("make_grid", [default_grid, fine_grid])
 def test_probe_bell_kernel_matches_direct_form(make_grid):
