@@ -361,11 +361,18 @@ def qunaught_amplitude(x, delta_sq: float):
     return out.reshape(x.shape)
 
 
+def _check_delta_sq(delta_sq) -> None:
+    """``ValueError`` unless ``delta_sq`` is a real number (not a bool),
+    finite and positive."""
+    if (isinstance(delta_sq, bool) or not isinstance(delta_sq, numbers.Real)
+            or not 0 < delta_sq < math.inf):
+        raise ValueError("delta_sq must be finite and positive, "
+                         f"got {delta_sq!r}")
+
+
 def make_qunaught(delta_sq: float, grid: Grid | None = None) -> GridWavefunction:
     """Normalized damped qunaught state on the grid."""
-    if not 0 < delta_sq < math.inf:
-        raise ValueError("delta_sq must be finite and positive, "
-                         f"got {delta_sq}")
+    _check_delta_sq(delta_sq)
     grid = grid or default_grid()
     peak_std = math.sqrt(math.tanh(math.asinh(delta_sq)))
     if grid.dx > peak_std:
@@ -514,7 +521,15 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
     sampled from the joint homodyne distribution.  The normalized
     conditional output matches damping . code-projection . damping .
     displacement applied to the input (see :func:`knill_oracle`).
+    ``ValueError`` unless ``delta_sq`` is finite and positive and ``seed``
+    is None or a non-negative integer.
     """
+    _check_delta_sq(delta_sq)
+    if seed is not None:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     grid = input_wf.grid
     axis = grid.axis
     s2 = math.sqrt(2)
@@ -604,10 +619,7 @@ def _probe_kernels(delta_sq: float, grid: Grid):
     against its own spikes only: 7 and 6 of the 193 points on the default
     grid.
     """
-    if (isinstance(delta_sq, bool) or not isinstance(delta_sq, numbers.Real)
-            or not 0 < delta_sq < math.inf):
-        raise ValueError("delta_sq must be finite and positive, "
-                         f"got {delta_sq!r}")
+    _check_delta_sq(delta_sq)
     table = qunaught_amplitude(_half_step_points(grid), delta_sq)
     beta = math.asinh(delta_sq)
     axis = grid.axis

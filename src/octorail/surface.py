@@ -664,11 +664,12 @@ def gkp_bin(value):
     grid points, and the residual lies in [-sqrt(pi)/2, sqrt(pi)/2).
     ``ValueError`` if some value is not finite.
     """
-    if not np.isfinite(value).all():
-        raise ValueError("gkp_bin takes finite values only")
     n_grid = np.floor(value / SQRT_PI + 0.5)
-    parity = (n_grid.astype(np.int64) % 2).astype(bool)
-    return parity, value - n_grid * SQRT_PI
+    # finite exactly where the values are, since sqrt(pi) > 1
+    if not np.isfinite(n_grid).all():
+        raise ValueError("gkp_bin takes finite values only")
+    half = n_grid * 0.5  # exact: a whole number where the grid point is even
+    return np.floor(half) != half, value - n_grid * SQRT_PI
 
 
 # --------------------------------------------------------------------------
@@ -740,21 +741,28 @@ def _component_dp(bd, up):
     unordered defects that have an ordered partner.  So the defects are
     ordered first to keep the frontier small: each next one is a frontier
     defect, if any, that adds the fewest new defects to it (ties to the
-    lowest index).
+    lowest index).  That choice is the least of one integer key per defect,
+    (not yet seen, partners not yet seen, index) in mixed radix, updated as
+    defects are seen.  One memo holds each state's (cost, pick).
     """
-    partners = [set() for _ in bd]
+    n = len(bd)
+    partners = [[] for _ in bd]  # each kept pair appears once in ``up``
     for i, row in enumerate(up):
         for j, _ in row:
-            partners[i].add(j)
-            partners[j].add(i)
-    order, seen, unordered = [], set(), set(range(len(bd)))
+            partners[i].append(j)
+            partners[j].append(i)
+    key = [(n + len(p)) * n + v for v, p in enumerate(partners)]
+    order, seen, unordered = [], [False] * n, set(range(n))
     while unordered:
-        v = min(unordered, key=lambda u: (u not in seen,
-                                          len(partners[u] - seen), u))
+        v = min(unordered, key=key.__getitem__)
         order.append(v)
         unordered.remove(v)
-        seen |= partners[v]
-        seen.add(v)
+        for u in (v, *partners[v]):
+            if not seen[u]:
+                seen[u] = True
+                key[u] -= n * n
+                for w in partners[u]:
+                    key[w] -= n
     rank = {v: r for r, v in enumerate(order)}
     kept = [[] for _ in bd]  # by rank: (bit of the later partner, distance)
     for i, row in enumerate(up):
@@ -762,31 +770,31 @@ def _component_dp(bd, up):
             low, high = sorted((rank[i], rank[j]))
             kept[low].append((1 << high, w))
     bd = [bd[v] for v in order]
-    cost = {0: 0.0}
-    pick = {}  # mask -> the lowest defect's partner bit, 0 for the boundary
+    # mask -> (cost, the lowest defect's partner bit, 0 for the boundary)
+    memo = {0: (0.0, 0)}
 
     def best(mask):
-        got = cost.get(mask)
+        got = memo.get(mask)
         if got is None:
             low = mask & -mask
             rest = mask ^ low
             i = low.bit_length() - 1
-            got, choice = bd[i] + best(rest), 0
+            cost, choice = bd[i] + best(rest), 0
             for bit, w in kept[i]:
                 if rest & bit:
                     c = w + best(rest ^ bit)
-                    if c < got:
-                        got, choice = c, bit
-            cost[mask], pick[mask] = got, choice
-        return got
+                    if c < cost:
+                        cost, choice = c, bit
+            got = memo[mask] = cost, choice
+        return got[0]
 
-    mask = (1 << len(bd)) - 1
+    mask = (1 << n) - 1
     if best(mask) == math.inf:
         raise ValueError("a defect can reach neither the boundary nor a "
                          "partner")
     matches = []
     while mask:
-        low, bit = mask & -mask, pick[mask]
+        low, bit = mask & -mask, memo[mask][1]
         i = order[low.bit_length() - 1]
         j = order[bit.bit_length() - 1] if bit else None
         matches.append((i, j) if j is None or i < j else (j, i))
@@ -831,18 +839,26 @@ def _pair_defects(dist, bd):
 
     A pair whose distance is not below the sum of its boundary distances
     can be split into two boundary matches at no cost, so only the other
-    pairs are kept; the scan runs on Python lists, since most trials have
-    a handful of defects.  Each connected component of the kept pairs is
+    pairs are kept.  Most trials have one or two defects, and those are
+    solved before any scan: two defects match each other if their pair is
+    kept, and otherwise each defect matches the boundary; ``ValueError`` if
+    such a defect has no finite boundary distance.  Larger trials scan their
+    pairs on Python lists.  Each connected component of the kept pairs is
     then an independent problem (Fowler 2013; Higgott & Gidney, "Sparse
-    Blossom", 2023).  Most components are solved directly: a lone defect
-    matches the boundary, and two defects match each other, since their
-    pair was kept for a distance below their boundary sum.  Larger ones go
-    to ``_component_dp``, or above ``_DP_CAP`` defects to
-    ``_component_blossom``.  The direct solves are the assignments that
-    ``_component_dp`` gives.
+    Blossom", 2023), solved directly when it has one or two defects, as
+    above.  Larger ones go to ``_component_dp``, or above ``_DP_CAP``
+    defects to ``_component_blossom``.  The direct solves are the
+    assignments that ``_component_dp`` gives.
     """
     bd = bd.tolist()
     k = len(bd)
+    if k <= 2:
+        if k == 2 and dist[0, 1] < bd[0] + bd[1]:
+            return [(0, 1)]
+        if math.inf in bd:
+            raise ValueError("a defect can reach neither the boundary nor a "
+                             "partner")
+        return [(v, None) for v in range(k)]
     kept = []
     for a, row in enumerate(dist.tolist()):
         bd_a = bd[a]
@@ -956,9 +972,13 @@ _BLOCK_TRIALS = 256
 #: of its trials) times its nodes (every trial's graph).  A slice is the
 #: longest run of consecutive decoded trials within this budget, or one
 #: trial that alone exceeds it.  It bounds the Dijkstra output (``dist``
-#: and ``pred``, under 1 MB) and the flip-weight temporaries at any rounds;
-#: a source reaches only its own trial's block, so the slicing does not
-#: change results.
+#: and ``pred``, 12 bytes an entry, under 1 MB) at any rounds; a source
+#: reaches only its own trial's block, so the slicing does not change
+#: results.  It also bounds a weight group (``_groups``): the run of slices
+#: whose flip weights are computed together, whose density temporaries (7
+#: doubles a weight) stay within the same bytes unless one slice alone
+#: exceeds them.  The weights are elementwise, so grouping does not change
+#: them.
 _SLICE_ENTRIES = 1 << 16
 
 
@@ -967,6 +987,11 @@ class _DecodingGraph:
     """Static structure of the memory experiment at one (distance, rounds),
     built once by ``_decoding_graph``: the layout (``_rotated_layout``) and
     the space-time matching graph.  Its arrays are read-only.
+
+    ``members`` lists each stabilizer's four qubits, a weight-2 one padded
+    with the index ``n_qubits``: ``memory_experiment`` appends a column of
+    zeros at that index to the cumulative flips, so a syndrome bit is the
+    XOR of the four gathered columns.
 
     Node ``layer * n_stabs + s`` is stabilizer ``s`` in layer ``layer``; the
     last node is the open boundary, a sink.  An anchor, a node with edges
@@ -979,7 +1004,8 @@ class _DecodingGraph:
     """
     n_qubits: int
     n_stabs: int
-    incidence: np.ndarray  # (n_qubits, n_stabs), 1 where a qubit is checked
+    members: np.ndarray  # (n_stabs, 4): each stabilizer's qubits; a weight-2
+    # one's last two are n_qubits, the index of a column of zeros
     cut: np.ndarray  # the left-column cut qubits, sorted
     n_nodes: int  # the sink included
     indices: np.ndarray  # CSR structure of the directed adjacency
@@ -998,9 +1024,8 @@ def _decoding_graph(distance: int, rounds: int) -> _DecodingGraph:
     stabs, adjacency, cut_qubits = _rotated_layout(distance)
     n_stabs = len(stabs)
     n_qubits = len(adjacency)
-    incidence = np.zeros((n_qubits, n_stabs), dtype=np.uint8)
-    for s_id, members in enumerate(stabs):
-        incidence[list(members), s_id] = 1
+    members = np.array([qubits + (n_qubits,) * (4 - len(qubits))
+                        for qubits in stabs])
     sink = (rounds + 1) * n_stabs
     crossing = np.zeros(sink + 1, dtype=bool)
     src, dst, col = [], [], []
@@ -1035,10 +1060,10 @@ def _decoding_graph(distance: int, rounds: int) -> _DecodingGraph:
     anchor_col = np.array([cols + cols[:1] * (width - len(cols))
                            for cols in boundary.values()])
     cut = np.array(sorted(cut_qubits))
-    for array in (incidence, cut, slots.indices, slots.indptr, data_col,
+    for array in (members, cut, slots.indices, slots.indptr, data_col,
                   anchor_col, crossing):
         array.flags.writeable = False
-    return _DecodingGraph(n_qubits, n_stabs, incidence, cut, sink + 1,
+    return _DecodingGraph(n_qubits, n_stabs, members, cut, sink + 1,
                           slots.indices, slots.indptr, data_col, anchor_col,
                           crossing)
 
@@ -1111,6 +1136,22 @@ def _slices(counts, n_nodes):
         lo = hi
 
 
+def _groups(slices, n_cols):
+    """Runs of consecutive slices ``(lo, hi)`` whose flip-weight densities,
+    rows times ``n_cols`` times 7 doubles, fit in one slice's Dijkstra
+    output (``_SLICE_ENTRIES`` times 12 bytes), or one slice whose rows
+    alone exceed that; each run is a list of its slices."""
+    rows = _SLICE_ENTRIES * 12 // (7 * 8 * n_cols)
+    group = []
+    for lo, hi in slices:
+        if group and hi - group[0][0] > rows:
+            yield group
+            group = []
+        group.append((lo, hi))
+    if group:
+        yield group
+
+
 def memory_experiment(distance: int, squeezing_db: float, rounds: int,
                       trials: int, seed: int) -> MemoryResult:
     """Phenomenological memory experiment on one check sector of the
@@ -1122,14 +1163,18 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     Shifts are binned on the sqrt(pi) grid; the residuals drive the analog
     matching weights.  The final readout round is noiseless.
 
-    Trials are sampled and reduced to defects in blocks; only trials with
-    defects reach the decoder, on a graph structure built once per
-    (distance, rounds) (``_decoding_graph``).  A block's decoded trials are
-    split into slices (``_slices``); each slice gets its flip weights, one
-    block-diagonal graph (``_slice_graph``) and one Dijkstra from all of
-    its defects (``_slice_paths``), and then each trial is matched on its
-    own (``decode_matching``).  NumPy integer counts are used, and echoed,
-    as Python ints.
+    Trials are sampled and reduced to defects in blocks: the syndromes are
+    the XOR of the cumulative flips gathered at each stabilizer's members
+    (``_DecodingGraph.members``).  Only trials with defects reach the
+    decoder, on a graph structure built once per (distance, rounds)
+    (``_decoding_graph``).  A block's decoded trials are split into slices
+    (``_slices``), and runs of slices into weight groups (``_groups``).
+    Each group gets its flip weights in one call per quadrature kind; each
+    of its slices gets one block-diagonal graph (``_slice_graph``, on its
+    rows of the group's weights) and one Dijkstra from all of its defects
+    (``_slice_paths``), and then each trial is matched on its own
+    (``decode_matching``).  NumPy integer counts are used, and echoed, as
+    Python ints.
     """
     for name, value in (("distance", distance), ("rounds", rounds),
                         ("trials", trials), ("seed", seed)):
@@ -1171,9 +1216,15 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         flips, resid = gkp_bin(sigma * z[:, :n_q])
         m_flips, m_resid = gkp_bin(sigma_m * z[:, n_q:])
 
-        cum = np.logical_xor.accumulate(
-            flips.reshape(size, rounds, dg.n_qubits), axis=1)
-        parity = ((cum.view(np.uint8) @ dg.incidence) & 1).astype(bool)
+        # cumulative flips, and the column of zeros that pads dg.members
+        cum = np.zeros((size, rounds, dg.n_qubits + 1), dtype=bool)
+        cum[..., :-1] = flips.reshape(size, rounds, dg.n_qubits)
+        for r in range(1, rounds):
+            cum[:, r] ^= cum[:, r - 1]
+        first, *rest = dg.members.T
+        parity = cum[..., first]
+        for column in rest:
+            parity ^= cum[..., column]
         syndromes = np.concatenate(
             [parity ^ m_flips.reshape(size, rounds, dg.n_stabs),
              parity[:, -1:]], axis=1)
@@ -1184,23 +1235,29 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         has_defects = defect_grid.any(axis=1)
         failures += int(true_parity[~has_defects].sum())
         decoded = np.flatnonzero(has_defects)
+        decoded_parity = true_parity[decoded].tolist()
         # every decoded trial's defects, trial by trial
         owner, nodes = np.nonzero(defect_grid[decoded])
         counts = np.bincount(owner, minlength=len(decoded)).tolist()
         firsts = np.cumsum([0] + counts).tolist()
         node_list = nodes.tolist()
-        for lo, hi in _slices(counts, dg.n_nodes):
-            rows = decoded[lo:hi]
+        for group in _groups(_slices(counts, dg.n_nodes), n_cols):
+            base, end = group[0][0], group[-1][1]
+            rows = decoded[base:end]
             # one weight row per trial, as _DecodingGraph lays it out
-            weights = np.empty((hi - lo, n_cols))
+            weights = np.empty((end - base, n_cols))
             weights[:, :n_q] = _flip_weights(resid[rows], sigma)
             weights[:, n_q:] = _flip_weights(m_resid[rows], sigma_m)
-            paths = _slice_paths(_slice_graph(weights, dg), dg.crossing,
-                                 nodes[firsts[lo]:firsts[hi]], counts[lo:hi])
-            for i, (dist, bd, crossing) in enumerate(paths, lo):
-                _, correction_parity = decode_matching(
-                    node_list[firsts[i]:firsts[i + 1]], dist, bd, crossing)
-                failures += int(true_parity[decoded[i]]) ^ correction_parity
+            for lo, hi in group:
+                graph = _slice_graph(weights[lo - base:hi - base], dg)
+                paths = _slice_paths(graph, dg.crossing,
+                                     nodes[firsts[lo]:firsts[hi]],
+                                     counts[lo:hi])
+                for i, (dist, bd, crossing) in enumerate(paths, lo):
+                    _, correction_parity = decode_matching(
+                        node_list[firsts[i]:firsts[i + 1]], dist, bd,
+                        crossing)
+                    failures += decoded_parity[i] ^ correction_parity
 
     rate = failures / trials
     ci_low, ci_high = wilson_interval(failures, trials)

@@ -237,7 +237,8 @@ def test_qunaught_norm_and_resolution_guard():
         make_qunaught(0.005)  # peaks unresolved on the default grid
 
 
-@pytest.mark.parametrize("delta_sq", [float("nan"), math.inf, 0.0, -0.05])
+@pytest.mark.parametrize("delta_sq", [float("nan"), math.inf, 0.0, -0.05,
+                                      True])
 def test_qunaught_rejects_a_delta_that_is_not_finite_and_positive(delta_sq):
     with pytest.raises(ValueError, match="finite and positive"):
         make_qunaught(delta_sq)
@@ -352,6 +353,8 @@ def test_knill_step_sampled_outcomes_reproducible():
     a = knill_step(qn, 0.05, seed=5)
     b = knill_step(qn, 0.05, seed=5)
     assert a.outcomes == b.outcomes
+    # NumPy integers are seeds too
+    assert knill_step(qn, 0.05, seed=np.uint8(5)).outcomes == a.outcomes
     assert np.array_equal(a.output.amplitudes, b.output.amplitudes)
 
 
@@ -364,6 +367,29 @@ def test_knill_step_sampled_outcomes_pinned(seed, outcomes):
     # rounding, which must not move a draw
     qn = make_qunaught(0.05)
     assert knill_step(qn, 0.05, seed=seed).outcomes == outcomes
+
+
+@pytest.mark.parametrize("delta_sq", [True, "0.05", float("nan"), math.inf,
+                                      -math.inf, 0.0, -0.05])
+@pytest.mark.parametrize("outcomes", [(0.3, -0.2), None],
+                         ids=["forced", "sampled"])
+def test_knill_step_rejects_a_bad_delta(delta_sq, outcomes):
+    """A Delta^2 that is a bool, not real, not finite or not positive raises
+    a ValueError that names it, instead of a NumPy warning, a NaN
+    probability or a silent Delta^2 = 1."""
+    qn = make_qunaught(0.05)
+    with pytest.raises(ValueError, match="delta_sq must be finite and "
+                                         "positive"):
+        knill_step(qn, delta_sq, forced_outcomes=outcomes, seed=0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer"), (2.0, "seed must be an integer"),
+    ("3", "seed must be an integer"), (-1, "seed must be non-negative")])
+def test_knill_step_rejects_a_bad_seed(seed, message):
+    qn = make_qunaught(0.05)
+    with pytest.raises(ValueError, match=message):
+        knill_step(qn, 0.05, seed=seed)
 
 
 def _x_marginal_loop_row(input_at, axis, delta_sq, i):
