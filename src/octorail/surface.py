@@ -702,22 +702,38 @@ def _rotated_layout(distance: int):
 _SHIFTS = np.arange(-3, 4) * SQRT_PI
 
 
-def _flip_weights(residuals: np.ndarray, sigma: float) -> np.ndarray:
-    """Matching weight of a flip with the observed grid residual: the log
-    likelihood ratio of 'no flip' against 'flip', floored at 1e-6."""
+def _flip_weights(residuals: np.ndarray, sigma) -> np.ndarray:
+    """Matching weight of a flip with the observed grid residual; sigma is
+    a float or one noise scale per column.
+
+    Returns log(even) - log(odd), floored at 1e-6: ``even`` sums the
+    Gaussian densities at the residual shifted by k sqrt(pi) for
+    k = -3, -1, 1, 3, and ``odd`` for k = -2, 0, 2.  The two sums are named
+    the wrong way round (ROADMAP item 1): ``even`` is the likelihood of a
+    flip, so this is the log likelihood ratio of 'flip' against 'no flip',
+    not the reverse.  It lies below the floor on every residual within
+    the binning range, so every such weight is exactly 1e-6 (or NaN where
+    both sums underflow to 0)."""
     # the Gaussian density at each shift, exp(-0.5 * ((r + s) / sigma)^2),
-    # computed in place; each sum adds its shifts left to right, as a NumPy
-    # sum over four values does
-    dens = residuals[..., None] + _SHIFTS
-    dens /= sigma
-    dens *= dens
-    dens *= -0.5
-    np.exp(dens, out=dens)
-    even = dens[..., 0] + dens[..., 2] + dens[..., 4] + dens[..., 6]
-    odd = dens[..., 1] + dens[..., 3] + dens[..., 5]
+    # one shift at a time: ``even`` sums shifts 0, 2, 4 and 6 of _SHIFTS,
+    # ``odd`` shifts 1, 3 and 5, each left to right, as a NumPy sum over
+    # four values does
+    even, odd, dens = (np.empty_like(residuals) for _ in range(3))
+    sums = [even, odd]
+    for i, shift in enumerate(_SHIFTS):
+        out = sums[i] if i < 2 else dens
+        np.add(residuals, shift, out=out)
+        out /= sigma
+        out *= out
+        out *= -0.5
+        np.exp(out, out=out)
+        if i >= 2:
+            sums[i % 2] += dens
     with np.errstate(divide="ignore"):
-        w = np.log(even) - np.log(odd)
-    return np.maximum(w, 1e-6)
+        np.log(even, out=even)
+        np.log(odd, out=odd)
+    even -= odd
+    return np.maximum(even, 1e-6, out=even)
 
 
 #: Components of more defects than this go to a blossom instead of the
@@ -963,9 +979,10 @@ def wilson_interval(failures: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-#: Trials sampled, binned and reduced to defects together.  It bounds the
-#: memory of one block at any trial count and does not change results: the
-#: random stream is drawn in the same order whatever the block size.
+#: Trials sampled, binned, reduced to defects and given their flip weights
+#: together.  It bounds the memory of one block at any trial count and does
+#: not change results: the random stream is drawn in the same order
+#: whatever the block size, and the weights are elementwise.
 _BLOCK_TRIALS = 256
 
 #: Entries of one slice's shortest-path output: its sources (every defect
@@ -974,11 +991,7 @@ _BLOCK_TRIALS = 256
 #: trial that alone exceeds it.  It bounds the Dijkstra output (``dist``
 #: and ``pred``, 12 bytes an entry, under 1 MB) at any rounds; a source
 #: reaches only its own trial's block, so the slicing does not change
-#: results.  It also bounds a weight group (``_groups``): the run of slices
-#: whose flip weights are computed together, whose density temporaries (7
-#: doubles a weight) stay within the same bytes unless one slice alone
-#: exceeds them.  The weights are elementwise, so grouping does not change
-#: them.
+#: results.
 _SLICE_ENTRIES = 1 << 16
 
 
@@ -1136,22 +1149,6 @@ def _slices(counts, n_nodes):
         lo = hi
 
 
-def _groups(slices, n_cols):
-    """Runs of consecutive slices ``(lo, hi)`` whose flip-weight densities,
-    rows times ``n_cols`` times 7 doubles, fit in one slice's Dijkstra
-    output (``_SLICE_ENTRIES`` times 12 bytes), or one slice whose rows
-    alone exceed that; each run is a list of its slices."""
-    rows = _SLICE_ENTRIES * 12 // (7 * 8 * n_cols)
-    group = []
-    for lo, hi in slices:
-        if group and hi - group[0][0] > rows:
-            yield group
-            group = []
-        group.append((lo, hi))
-    if group:
-        yield group
-
-
 def memory_experiment(distance: int, squeezing_db: float, rounds: int,
                       trials: int, seed: int) -> MemoryResult:
     """Phenomenological memory experiment on one check sector of the
@@ -1159,7 +1156,8 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
 
     Noise model: per round each data qubit accrues an independent Gaussian
     quadrature shift of variance 2 * (delta^2 / 2) per teleportation hop,
-    two hops per round; each syndrome readout accrues one such shift.
+    two hops per round; each syndrome readout accrues one such shift.  Both
+    are one noise scale per column of a trial's row, derived once per call.
     Shifts are binned on the sqrt(pi) grid; the residuals drive the analog
     matching weights.  The final readout round is noiseless.
 
@@ -1167,14 +1165,14 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     the XOR of the cumulative flips gathered at each stabilizer's members
     (``_DecodingGraph.members``).  Only trials with defects reach the
     decoder, on a graph structure built once per (distance, rounds)
-    (``_decoding_graph``).  A block's decoded trials are split into slices
-    (``_slices``), and runs of slices into weight groups (``_groups``).
-    Each group gets its flip weights in one call per quadrature kind; each
-    of its slices gets one block-diagonal graph (``_slice_graph``, on its
-    rows of the group's weights) and one Dijkstra from all of its defects
-    (``_slice_paths``), and then each trial is matched on its own
-    (``decode_matching``).  NumPy integer counts are used, and echoed, as
-    Python ints.
+    (``_decoding_graph``).  A block gets its samples binned in one
+    ``gkp_bin`` call and its decoded trials' flip weights in one
+    ``_flip_weights`` call.  Its decoded trials are split into slices
+    (``_slices``); each slice gets one block-diagonal graph
+    (``_slice_graph``, on its rows of the block's weights) and one
+    Dijkstra from all of its defects (``_slice_paths``), and then each
+    trial is matched on its own (``decode_matching``).  NumPy integer
+    counts are used, and echoed, as Python ints.
     """
     for name, value in (("distance", distance), ("rounds", rounds),
                         ("trials", trials), ("seed", seed)):
@@ -1204,7 +1202,8 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
 
     dg = _decoding_graph(distance, rounds)
     n_q = rounds * dg.n_qubits
-    n_cols = n_q + rounds * dg.n_stabs
+    # the noise scale of each column of a trial's row
+    scale = np.repeat([sigma, sigma_m], [n_q, rounds * dg.n_stabs])
 
     rng = np.random.default_rng(seed)
     failures = 0
@@ -1212,13 +1211,12 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         size = min(_BLOCK_TRIALS, trials - start)
         # rng.normal(0, s, n) draws s * standard_normal(n); each row holds
         # one trial's qubit shifts, then its readout shifts
-        z = rng.standard_normal((size, n_cols))
-        flips, resid = gkp_bin(sigma * z[:, :n_q])
-        m_flips, m_resid = gkp_bin(sigma_m * z[:, n_q:])
+        flips, resid = gkp_bin(rng.standard_normal((size, len(scale)))
+                               * scale)
 
         # cumulative flips, and the column of zeros that pads dg.members
         cum = np.zeros((size, rounds, dg.n_qubits + 1), dtype=bool)
-        cum[..., :-1] = flips.reshape(size, rounds, dg.n_qubits)
+        cum[..., :-1] = flips[:, :n_q].reshape(size, rounds, dg.n_qubits)
         for r in range(1, rounds):
             cum[:, r] ^= cum[:, r - 1]
         first, *rest = dg.members.T
@@ -1226,7 +1224,7 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         for column in rest:
             parity ^= cum[..., column]
         syndromes = np.concatenate(
-            [parity ^ m_flips.reshape(size, rounds, dg.n_stabs),
+            [parity ^ flips[:, n_q:].reshape(size, rounds, dg.n_stabs),
              parity[:, -1:]], axis=1)
         defect_grid = syndromes.copy()
         defect_grid[:, 1:] ^= syndromes[:, :-1]
@@ -1241,23 +1239,16 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         counts = np.bincount(owner, minlength=len(decoded)).tolist()
         firsts = np.cumsum([0] + counts).tolist()
         node_list = nodes.tolist()
-        for group in _groups(_slices(counts, dg.n_nodes), n_cols):
-            base, end = group[0][0], group[-1][1]
-            rows = decoded[base:end]
-            # one weight row per trial, as _DecodingGraph lays it out
-            weights = np.empty((end - base, n_cols))
-            weights[:, :n_q] = _flip_weights(resid[rows], sigma)
-            weights[:, n_q:] = _flip_weights(m_resid[rows], sigma_m)
-            for lo, hi in group:
-                graph = _slice_graph(weights[lo - base:hi - base], dg)
-                paths = _slice_paths(graph, dg.crossing,
-                                     nodes[firsts[lo]:firsts[hi]],
-                                     counts[lo:hi])
-                for i, (dist, bd, crossing) in enumerate(paths, lo):
-                    _, correction_parity = decode_matching(
-                        node_list[firsts[i]:firsts[i + 1]], dist, bd,
-                        crossing)
-                    failures += decoded_parity[i] ^ correction_parity
+        # one weight row per decoded trial, as _DecodingGraph lays it out
+        weights = _flip_weights(resid[decoded], scale)
+        for lo, hi in _slices(counts, dg.n_nodes):
+            graph = _slice_graph(weights[lo:hi], dg)
+            paths = _slice_paths(graph, dg.crossing,
+                                 nodes[firsts[lo]:firsts[hi]], counts[lo:hi])
+            for i, (dist, bd, crossing) in enumerate(paths, lo):
+                _, correction_parity = decode_matching(
+                    node_list[firsts[i]:firsts[i + 1]], dist, bd, crossing)
+                failures += decoded_parity[i] ^ correction_parity
 
     rate = failures / trials
     ci_low, ci_high = wilson_interval(failures, trials)

@@ -504,8 +504,8 @@ _PINNED_FAILURES = {
     (7, 11.0, 3): (381, 5),
     (7, 13.0, 1): (183, 0),
     (7, 13.0, 3): (383, 0),
-    # twelve rounds: a block's flip weights come in several groups, and a
-    # slice holds few trials
+    # twelve rounds: a block's decoded trials span many slices of few
+    # trials each
     (5, 11.0, 12): (1261, 15),
     (7, 11.0, 12): (1281, 6),
 }
@@ -536,9 +536,11 @@ def test_memory_experiment_pinned_seeded_results(key):
 
 def _llr_weights(residuals, sigma):
     """_flip_weights with its even and odd shifts the right way round: an
-    elementwise stand-in whose weights vary from trial to trial."""
+    elementwise stand-in whose weights vary from trial to trial.  ``sigma``
+    is a float or one scale per column."""
     shifts = np.arange(-3, 4) * SQRT_PI
-    dens = np.exp(-0.5 * ((residuals[..., None] + shifts) / sigma) ** 2)
+    dens = np.exp(-0.5 * ((residuals[..., None] + shifts)
+                          / np.asarray(sigma)[..., None]) ** 2)
     w = np.log(dens[..., 1::2].sum(axis=-1)) - np.log(
         dens[..., ::2].sum(axis=-1))
     return np.maximum(w, 1e-6)
@@ -548,13 +550,15 @@ def test_flip_weights_equal_the_written_out_sums():
     """_flip_weights, computed in place, is bit for bit the densities
     exp(-0.5 * ((r + k sqrt(pi)) / sigma)^2) summed with NumPy over
     k = -3, -1, 1, 3 and over k = -2, 0, 2, their log ratio floored at
-    1e-6.  The residuals reach 2 sqrt(pi), beyond the binning range, so
-    that a share of the weights lies above the floor."""
-    residuals = np.random.default_rng(5).uniform(-2 * SQRT_PI, 2 * SQRT_PI,
-                                                 (40, 60))
-    for sigma in (0.05, 0.3, 0.6, 1.5):
+    1e-6, at one sigma for every column and at one sigma per column.  The
+    residuals reach 2 sqrt(pi), beyond the binning range, so that a share
+    of the weights lies above the floor."""
+    rng = np.random.default_rng(5)
+    residuals = rng.uniform(-2 * SQRT_PI, 2 * SQRT_PI, (40, 60))
+    for sigma in (0.05, 0.3, 0.6, 1.5, rng.uniform(0.05, 1.5, 60)):
         dens = np.exp(-0.5 * ((residuals[..., None]
-                               + np.arange(-3, 4) * SQRT_PI) / sigma) ** 2)
+                               + np.arange(-3, 4) * SQRT_PI)
+                              / np.asarray(sigma)[..., None]) ** 2)
         want = np.maximum(np.log(dens[..., ::2].sum(axis=-1))
                           - np.log(dens[..., 1::2].sum(axis=-1)), 1e-6)
         assert (want > 1e-6).mean() > 0.2
@@ -566,15 +570,20 @@ def test_flip_weights_equal_the_written_out_sums():
 @pytest.mark.parametrize("db", [7.0, 10.0, 13.0])
 def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
                                                 flip):
-    """The flip weights of a block's decoded trials, computed in groups of
-    slices, are bit for bit each trial's own qubit weights and readout
-    weights; each group is the longest run of whole slices whose densities
-    (rows x columns x 7 doubles) fit in _SLICE_ENTRIES x 12 bytes, or one
-    slice, and no slice's sources times nodes exceeds _SLICE_ENTRIES unless
-    it is one trial.  The program's weights are all floored to 1e-6 (its
-    even and odd shifts are swapped), so only the stand-in shows a row
-    landing on the wrong trial.  A budget of 2^12 entries gives every case
-    several slices and groups."""
+    """A block's flip weights come from one call on exactly its decoded
+    trials' residuals, with the scale sigma = sqrt(2 delta^2) on the
+    rounds x d^2 qubit columns and sigma_m = sqrt(delta^2) on the readout
+    columns; the weight rows its slices see are bit for bit each trial's
+    own qubit weights and readout weights; and no slice's sources times
+    nodes exceeds _SLICE_ENTRIES unless it is one trial.  The program's
+    weights are all floored to 1e-6 (its even and odd shifts are swapped),
+    so only the stand-in shows a row landing on the wrong trial.  A budget
+    of 2^12 entries gives every case several slices."""
+    rounds, trials, seed = 3, 250, 40 + distance  # one block
+    delta_sq = 10 ** (-db / 10)
+    sigma = math.sqrt(2 * delta_sq)  # two hops of delta^2 / 2 per round
+    sigma_m = math.sqrt(delta_sq)  # one hop per readout
+    n_q = rounds * distance * distance
     real_bin = surface.gkp_bin
     real_flip = surface._flip_weights if flip == "program" else _llr_weights
     real_graph = surface._slice_graph
@@ -586,9 +595,9 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
         residuals.append(out[1])
         return out
 
-    def spy_flip(resid, sigma):
-        calls.append((len(resid), sigma))
-        return real_flip(resid, sigma)
+    def spy_flip(resid, scale):
+        calls.append((resid.copy(), np.copy(scale)))
+        return real_flip(resid, scale)
 
     def spy_graph(weights, dg):
         rows.extend(weights.copy())
@@ -605,34 +614,20 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     monkeypatch.setattr(surface, "_SLICE_ENTRIES", 1 << 12)
     # only the weights are under test: skip the matching
     monkeypatch.setattr(surface, "decode_matching", lambda *args: ([], 0))
-    memory_experiment(distance, db, 3, 250, 40 + distance)  # one block
+    memory_experiment(distance, db, rounds, trials, seed)
+    (resid,) = residuals
+    decoded = [bool(defects) for _, _, defects, _
+               in _per_trial_oracle(distance, db, rounds, trials, seed)]
+    (call_resid, scale), = calls
+    assert np.array_equal(call_resid, resid[decoded])
+    n_cols = resid.shape[1]
+    assert np.array_equal(scale, [sigma] * n_q + [sigma_m] * (n_cols - n_q))
     assert len(slices) > 2 and sum(n for n, _ in slices) == len(rows)
-    # one qubit and one readout call per group, on the group's trials
-    groups = [n for n, _ in calls[::2]]
-    assert len(groups) > 1 and [n for n, _ in calls[1::2]] == groups
-
-    def fits(size):
-        return size * len(rows[0]) * 7 * 8 <= surface._SLICE_ENTRIES * 12
-
-    sizes = [n for n, _ in slices]
-    first = 0
-    for size in groups:
-        last = first + 1
-        while sum(sizes[first:last]) < size:
-            last += 1
-        assert sum(sizes[first:last]) == size
-        assert fits(size) or last == first + 1
-        # the longest such run: the next slice would not fit
-        assert last == len(sizes) or not fits(sum(sizes[first:last + 1]))
-        first = last
-    assert first == len(sizes)
     assert all(entries <= surface._SLICE_ENTRIES or n == 1
                for n, entries in slices)
-    (_, sigma), (_, sigma_m) = calls[:2]
-    resid, m_resid = residuals
-    per_trial = iter(np.concatenate([real_flip(r, sigma),
-                                     real_flip(m, sigma_m)])
-                     for r, m in zip(resid, m_resid))
+    per_trial = iter(np.concatenate([real_flip(r[:n_q], sigma),
+                                     real_flip(r[n_q:], sigma_m)])
+                     for r in resid)
     # the decoded trials' rows, in trial order
     for row in rows:
         assert any(np.array_equal(row, want) for want in per_trial)
@@ -716,10 +711,13 @@ def test_memory_trials_match_the_per_trial_oracle(monkeypatch, distance,
     monkeypatch.setattr(surface, "gkp_bin", spy_bin)
     monkeypatch.setattr(surface, "decode_matching", spy_decode)
     result = memory_experiment(distance, db, rounds, trials, seed)
-    # one qubit and one readout call per block
-    flips = np.concatenate(binned[0::2]).reshape(trials, rounds, -1)
-    m_flips = np.concatenate(binned[1::2]).reshape(trials, rounds, -1)
-    assert len(binned) == 4
+    # one call per block, each row's qubit columns first
+    assert len(binned) == 2
+    n_q = rounds * distance * distance
+    flips = np.concatenate([b[:, :n_q] for b in binned]).reshape(
+        trials, rounds, -1)
+    m_flips = np.concatenate([b[:, n_q:] for b in binned]).reshape(
+        trials, rounds, -1)
     assert np.array_equal(flips, [t[0] for t in oracle])
     assert np.array_equal(m_flips, [t[1] for t in oracle])
     with_defects = [t for t in oracle if t[2]]
