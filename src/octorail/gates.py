@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO, solve_exact
-from .networks import SplitterNetwork, build_network, x_block
+from .networks import SplitterNetwork, build_network, x_rows
 from .phasespace import SymplecticMap, make_rotation, make_shear
 
 # Fourier gate: x -> -p, p -> x.  Acts as the logical Hadamard.
@@ -88,7 +88,7 @@ def _eighth_multiple(theta: float):
 def _float_x_block(network: SplitterNetwork) -> np.ndarray:
     """The network's exact x-block as a read-only float matrix, converted
     once per network for the float path of :func:`induced_gate`."""
-    sxf = x_block(network).to_float()
+    sxf = np.array([[float(e) for e in row] for row in x_rows(network)])
     sxf.flags.writeable = False
     return sxf
 
@@ -150,7 +150,7 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
         out = np.linalg.solve(m[0], rhs[0])
         out[k:] *= -1.0
         return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
-    sx = x_block(network).rows
+    sx = x_rows(network)
     bell = [b for _, b in wiring]
     inputs = [a for a, _ in wiring]
     m_rows, rhs_rows = [], []

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO
 
 LAYER_TAGS = {0: "DRL", 1: "QRL", 2: "ORL"}
@@ -68,19 +70,43 @@ def layer_matrix(layer, n_modes: int) -> ExactMatrix:
     return ExactMatrix(m)
 
 
-def x_block(network: SplitterNetwork) -> ExactMatrix:
-    """Exact x-quadrature transfer matrix (identical for the p block)."""
+@lru_cache(maxsize=8)
+def x_rows(network: SplitterNetwork) -> tuple:
+    """The network's exact x-quadrature transfer matrix as immutable rows of
+    ExactCoeff, composed once per network and shared by its readers."""
     out = ExactMatrix.identity(network.n_modes)
     for layer in network.layers:
         out = layer_matrix(layer, network.n_modes) @ out
-    return out
+    return tuple(map(tuple, out.rows))
+
+
+def x_block(network: SplitterNetwork) -> ExactMatrix:
+    """Exact x-quadrature transfer matrix (identical for the p block), as a
+    fresh matrix the caller may modify."""
+    return ExactMatrix(x_rows(network))
+
+
+def eightsplitter_matrix() -> tuple:
+    """The level-2 transfer matrix S as immutable rows of ExactCoeff."""
+    return x_rows(build_network(2))
 
 
 @lru_cache(maxsize=1)
-def eightsplitter_matrix() -> tuple:
-    """The level-2 transfer matrix S as immutable rows of ExactCoeff,
-    composed once and shared by the modules that read it."""
-    return tuple(map(tuple, x_block(build_network(2)).rows))
+def eightsplitter_sign_form() -> np.ndarray:
+    """The integer sign matrix H of the composed level-2 transfer matrix,
+    S = H/(2*sqrt2), as a read-only int64 array.  Integer products such as
+    H.P.H^T = 8 S.P.S^T stay exact.  Raises ValueError if an entry of S is
+    not +-1/(2*sqrt2)."""
+    h = np.empty((8, 8), dtype=np.int64)
+    for i, row in enumerate(eightsplitter_matrix()):
+        for j, e in enumerate(row):
+            form = e.as_half_power()
+            if form is None or form[1] != 3 or abs(form[0]) != 1:
+                raise ValueError(
+                    f"S[{i + 1}][{j + 1}] = {e!r} is not +-1/(2*sqrt2)")
+            h[i, j] = form[0]
+    h.flags.writeable = False
+    return h
 
 
 def check_layer_commutation(network: SplitterNetwork) -> dict:
@@ -178,9 +204,9 @@ def verify_eightsplitter() -> list:
     """Exact row-by-row comparison of the composed level-2 transfer matrix
     against ``EIGHTSPLITTER_SIGNS`` as it stands at call time.  Returns one
     verdict per row."""
-    composed = x_block(build_network(2))
     report = []
-    for i, (row, ref) in enumerate(zip(composed.rows, EIGHTSPLITTER_SIGNS)):
+    for i, (row, ref) in enumerate(zip(eightsplitter_matrix(),
+                                       EIGHTSPLITTER_SIGNS)):
         ok = True
         for entry, sign in zip(row, ref):
             numer, k = entry.as_half_power()

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import ExactCoeff, ExactMatrix
-from .networks import eightsplitter_matrix
+from .networks import eightsplitter_sign_form
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class ModePermutation:
     images: tuple
 
     def __post_init__(self):
+        if any(type(i) is not int for i in self.images):  # bools fail too
+            raise ValueError(f"images must be ints, got {self.images!r}")
         if sorted(self.images) != list(range(1, 9)):
             raise ValueError("images must be a bijection on 1..8")
 
@@ -49,15 +51,16 @@ class ModePermutation:
 
     @classmethod
     def from_cycles(cls, text: str) -> "ModePermutation":
-        """Parse cycle notation such as '(12)(56)' or '(1 2)(5 6)'."""
-        images = list(range(1, 9))
-        cycles = re.findall(r"\(([^()]*)\)", text)
-        if not cycles and text.strip():
+        """Parse cycle notation such as '(12)(56)' or '(1 2)(5 6)'.  Only
+        whitespace may stand between cycles, and only the digits 1-8 and
+        spaces inside one; '()' is the identity."""
+        if not re.fullmatch(r"\s*(\([1-8 ]*\)\s*)*", text):
             raise ValueError(f"cannot parse cycle notation: {text!r}")
-        for cyc in cycles:
-            elems = [int(t) for t in re.findall(r"\d", cyc)]
-            if len(set(elems)) != len(elems) or any(not 1 <= e <= 8 for e in elems):
-                raise ValueError(f"bad cycle: ({cyc})")
+        images = list(range(1, 9))
+        for cyc in re.findall(r"\(([1-8 ]*)\)", text):
+            elems = [int(t) for t in cyc.replace(" ", "")]
+            if len(set(elems)) != len(elems):
+                raise ValueError(f"bad cycle ({cyc}) in {text!r}")
             for a, b in zip(elems, elems[1:] + elems[:1]):
                 images[a - 1] = b
         return cls(tuple(images))
@@ -93,20 +96,29 @@ TRANSPOSITION_SETS = (
 )
 
 
+#: Base-8 place values: a 0-based image tuple's code sorts as the tuple does
+_BASE8 = 8 ** np.arange(7, -1, -1)
+
+
 def _closure(generators) -> frozenset:
-    frontier = {ModePermutation.identity().images}
-    gens = [g.images for g in generators]
-    seen = set(frontier)
-    while frontier:
-        nxt = set()
-        for gi in gens:
-            for h in frontier:
-                prod = tuple(gi[j - 1] for j in h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.add(prod)
-        frontier = nxt
-    return frozenset(seen)
+    """Image tuples of the group the generators generate: a breadth-first
+    search from the identity on (n, 8) arrays of 0-based images, each level
+    the products g o h of every generator with the last level's new
+    elements, de-duplicated by their base-8 codes."""
+    gens = np.array([g.images for g in generators],
+                    dtype=np.int64).reshape(-1, 8) - 1
+    frontier = np.arange(8, dtype=np.int64)[None, :]
+    seen = frontier @ _BASE8  # codes of every element found
+    levels = [frontier]
+    while len(frontier):
+        # (g o h)(j) = g(h(j)) for every generator g and frontier element h
+        prods = gens[:, frontier].reshape(-1, 8)
+        codes, first = np.unique(prods @ _BASE8, return_index=True)
+        new = ~np.isin(codes, seen, assume_unique=True)
+        frontier = prods[first[new]]
+        seen = np.concatenate([seen, codes[new]])
+        levels.append(frontier)
+    return frozenset(map(tuple, (np.concatenate(levels) + 1).tolist()))
 
 
 @lru_cache(maxsize=1)
@@ -140,27 +152,46 @@ def is_allowed(p: ModePermutation, implementation: str = "closure") -> bool:
     raise ValueError("implementation must be 'closure' or 'sets'")
 
 
-#: Base-8 place values: a 0-based image tuple's code sorts as the tuple does
-_BASE8 = 8 ** np.arange(7, -1, -1)
+def _lex_s8() -> np.ndarray:
+    """S8 as a (40320, 8) int64 array of 0-based images in lexicographic
+    order.  Stage m turns the lexicographic S_m in the last m columns into
+    S_(m+1) in the last m + 1: block v (v = 0..m) puts v in front of S_m
+    with every image >= v raised by one."""
+    perms = np.empty((40320, 8), dtype=np.int64)
+    perms[0, 7] = 0
+    size = 1  # m!
+    for m in range(1, 8):
+        col = 7 - m
+        tail = perms[:size, col + 1:]
+        # block 0 overwrites the rows it reads from, so it goes last
+        for v in range(m, -1, -1):
+            block = perms[v * size:(v + 1) * size]
+            block[:, col + 1:] = tail + (tail >= v)
+            block[:, col] = v
+        size *= m + 1
+    return perms
 
 
 def cosets() -> list[ModePermutation]:
     """Lexicographically smallest representative of each right coset of the
-    allowed group in S8."""
-    allowed = np.array(sorted(_allowed_images())) - 1
-    # itertools.permutations yields S8 in lexicographic order
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(8))),
-        dtype=np.int64, count=8 * 40320).reshape(-1, 8)
+    allowed group in S8: sweep S8 in lexicographic order, and let each
+    permutation that no earlier coset holds start a new one."""
+    allowed = np.array(list(_allowed_images()), dtype=np.int64) - 1
+    perms = _lex_s8()
     codes = perms @ _BASE8
     assigned = np.zeros(len(codes), dtype=bool)
     reps = []
-    while not assigned.all():
-        rep = perms[np.argmin(assigned)]  # the first unassigned permutation
-        reps.append(ModePermutation(tuple(int(i) + 1 for i in rep)))
-        # its coset {g o rep}: (g o rep)(j) = g(rep(j))
-        assigned[np.searchsorted(codes, allowed[:, rep] @ _BASE8)] = True
-    return reps
+    first = 0  # every permutation before it is assigned
+    while True:
+        first += int(np.argmin(assigned[first:]))
+        if assigned[first]:
+            return reps
+        rep = perms[first]
+        reps.append(ModePermutation(tuple(i + 1 for i in rep.tolist())))
+        # its coset {g o rep}: (g o rep)(j) = g(rep(j)); sorted keys make
+        # the binary searches walk the table once
+        coset = np.sort(allowed[:, rep] @ _BASE8)
+        assigned[np.searchsorted(codes, coset)] = True
 
 
 @dataclass(frozen=True)
@@ -176,25 +207,10 @@ class TransformRejection:
     offending_row: int
 
 
-@lru_cache(maxsize=1)
-def _h_int():
-    """Integer sign matrix H with S = H/(2*sqrt2); S.P.S^T = H.P.H^T/8
-    stays in integers, which keeps the 1344-element sweep fast."""
-    h = []
-    for row in eightsplitter_matrix():
-        hrow = []
-        for e in row:
-            numer, k = e.as_half_power()
-            assert k == 3  # every entry is +-1/(2*sqrt2)
-            hrow.append(numer)
-        h.append(hrow)
-    return np.array(h, dtype=np.int64)
-
-
 def basis_transform(p: ModePermutation):
     """Exact S.P.S^T; a SignedPermutationMatrix for allowed permutations,
     a TransformRejection otherwise."""
-    h = _h_int()
+    h = eightsplitter_sign_form()
     # H @ P permutes columns of H: column i of HP is column p^{-1}... use
     # P[p(i)-1][i-1] = 1, so (H P)[:, i] = H[:, p(i)-1].
     cols = [p(i) - 1 for i in range(1, 9)]

@@ -45,8 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, gauss_jordan
-from .networks import eightsplitter_matrix
+from .exact import (ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, _new,
+                    gauss_jordan)
+from .networks import eightsplitter_matrix, eightsplitter_sign_form
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -132,17 +133,17 @@ def sym_label(index: int) -> str:
     return ("x" if index < len(WIRES) else "p") + WIRES[index % len(WIRES)]
 
 
-def _apply_hadamard(rows, wire):
+def _hadamard(pq, wire):
     """pi/2 rotation x -> p, p -> -x on one wire (rows indexed by symbols)."""
     ix, ip = _xi(wire), _pi(wire)
-    rows[ix], rows[ip] = rows[ip], [ZERO - e for e in rows[ix]]
+    pq[:, [ix, ip]] = pq[:, [ip, ix]]
+    pq[:, ip] *= -1
 
 
-def _apply_beamsplitter(rows, a, b):
-    for ia, ib in ((_xi(a), _xi(b)), (_pi(a), _pi(b))):
-        ra, rb = rows[ia], rows[ib]
-        rows[ia] = [(ea - eb) * HALF_SQRT2 for ea, eb in zip(ra, rb)]
-        rows[ib] = [(ea + eb) * HALF_SQRT2 for ea, eb in zip(ra, rb)]
+def _over_sqrt2(pq):
+    """Entries (P + Q*sqrt2)/2^e divided by sqrt2, as the (P, Q) pair over
+    2^(e+1): (P + Q*sqrt2)/sqrt2 = (2Q + P*sqrt2)/2."""
+    return np.stack([2 * pq[1], pq[0]])
 
 
 class MacronodeModel:
@@ -154,28 +155,42 @@ class MacronodeModel:
     balanced beamsplitter, then the physical pi/2 rotation on that same
     wire.  Local wires 1-8 carry the splitter-network output (what the
     detectors see); partner wires carry their post-Bell quadratures.
+
+    The rows are built in integers: entry (i, j) is (P + Q*sqrt2)/2^e with
+    P = pq[0, i, j], Q = pq[1, i, j] and one exponent e for every entry, and
+    the splitter network is one integer product with the sign form H of the
+    composed S = H/(2*sqrt2).  Each entry becomes an ExactCoeff once, at
+    the end.
     """
 
     def __init__(self):
-        rows = [[ONE if i == j else ZERO for j in range(_N_SYM)]
-                for i in range(_N_SYM)]
+        pq = np.zeros((2, _N_SYM, _N_SYM), dtype=np.int64)
+        pq[0] = np.eye(_N_SYM, dtype=np.int64)
+        e = 0
         for local, partner, h_wire, orient in BELL_WIRING:
+            a, b = (partner, local) if orient else (local, partner)
+            rows_a, rows_b = [_xi(a), _pi(a)], [_xi(b), _pi(b)]
             # symbol labelling of the Fourier-invariant qunaught input
-            _apply_hadamard(rows, h_wire)
-            if orient:
-                _apply_beamsplitter(rows, partner, local)
-            else:
-                _apply_beamsplitter(rows, local, partner)
+            _hadamard(pq, h_wire)
+            # balanced beamsplitter (a, b) -> ((a - b)/sqrt2, (a + b)/sqrt2);
+            # every other row is doubled to keep one exponent
+            ra, rb = pq[:, rows_a], pq[:, rows_b]
+            pq *= 2
+            pq[:, rows_a] = _over_sqrt2(ra - rb)
+            pq[:, rows_b] = _over_sqrt2(ra + rb)
+            e += 1
             # the physical pi/2 rotation on one half of the Bell pair
-            _apply_hadamard(rows, h_wire)
-        s = eightsplitter_matrix()
-        for block in (0, len(WIRES)):
-            old = [rows[block + j] for j in range(8)]
-            for d in range(8):
-                rows[block + d] = [
-                    sum((s[d][j] * old[j][i] for j in range(8)), ZERO)
-                    for i in range(_N_SYM)]
-        self.rows = rows
+            _hadamard(pq, h_wire)
+        # S = H/(2*sqrt2) on the local x rows and on the local p rows
+        local = [*range(8), *range(len(WIRES), len(WIRES) + 8)]
+        mixed = eightsplitter_sign_form() @ pq[:, local].reshape(
+            2, 2, 8, _N_SYM)
+        pq *= 4
+        pq[:, local] = _over_sqrt2(mixed).reshape(2, 16, _N_SYM)
+        e += 2
+        d = 1 << e
+        self.rows = [[_new(p, q, d) for p, q in zip(p_row, q_row)]
+                     for p_row, q_row in zip(*pq.tolist())]
 
     def detector_row(self, detector: int, angle: float):
         """Symbol-space row of outcome m_detector at homodyne angle theta,

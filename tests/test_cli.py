@@ -1,9 +1,13 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from octorail.cli import cli, main, run_verification_suites
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -40,6 +44,20 @@ def test_verify_all_json_file(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(path.read_text())
     assert {"name", "pass", "detail"} <= set(doc["identities"][0])
+
+
+def test_verify_all_times_every_entry_and_keeps_the_recorded_report(runner):
+    # tests/data/verify_all.json is the report recorded before entries were
+    # timed; with ``seconds`` removed the output is byte for byte the same
+    result = runner.invoke(cli, ["verify-all"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    for entry in doc["identities"]:
+        seconds = entry.pop("seconds")
+        assert type(seconds) is float and math.isfinite(seconds)
+        assert seconds >= 0
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert text == (DATA / "verify_all.json").read_text()
 
 
 def test_network_dump(runner):
@@ -106,6 +124,23 @@ def test_perms_check(runner):
     assert not json.loads(result.output)["allowed"]
 
 
+def test_perms_cosets_csv_is_the_recorded_table(runner, tmp_path):
+    path = tmp_path / "cosets.csv"
+    result = runner.invoke(cli, ["perms", "cosets", "--csv", str(path)])
+    assert result.exit_code == 0
+    assert path.read_bytes() == (DATA / "perms_cosets.csv").read_bytes()
+
+
+@pytest.mark.parametrize("perm", ["(12)junk", "12)(34)", "(1a2)"])
+def test_perms_check_rejects_unreadable_cycles(capsys, perm):
+    with pytest.raises(SystemExit) as exc:
+        main(["perms", "check", perm])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot parse cycle notation: {perm!r}\n"
+
+
 def test_lattice_export_dot(runner, tmp_path):
     dot = tmp_path / "g.dot"
     result = runner.invoke(cli, ["lattice", "export", "--n", "4", "--m", "4",
@@ -162,6 +197,8 @@ def test_verify_all_fails_on_printed_odd_p2_record(runner, monkeypatch):
     assert result.exit_code == 1
     report = json.loads(result.stdout)["identities"]
     bad = [r for r in report if not r["pass"]]
+    # every entry is timed; the rest of the failing entry is exact
+    assert all(math.isfinite(r.pop("seconds")) for r in bad)
     assert bad == [{"name": "quadrature relation odd-data p2'",
                     "pass": False, "detail": "record-mismatch"}]
     assert result.stderr == ("error: quadrature relation odd-data p2' "

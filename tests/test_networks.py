@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from octorail.exact import ExactCoeff, ExactMatrix
+from octorail import networks
 from octorail.networks import (EIGHTSPLITTER_SIGNS, build_network,
                                cancel_layer, check_layer_commutation,
-                               layer_matrix, verify_eightsplitter, x_block)
+                               eightsplitter_sign_form, layer_matrix,
+                               verify_eightsplitter, x_block)
 
 
 def test_level_structure():
@@ -40,6 +42,61 @@ def test_transfer_matrix_entries_exact():
     for row, ref in zip(s.rows, EIGHTSPLITTER_SIGNS):
         for entry, sign in zip(row, ref):
             assert entry == ExactCoeff.from_half_power(sign, 3)
+
+
+def _composed_oracle(network):
+    """The layer product, composed afresh on every call."""
+    out = ExactMatrix.identity(network.n_modes)
+    for layer in network.layers:
+        out = layer_matrix(layer, network.n_modes) @ out
+    return out
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_x_block_is_the_layer_product(level):
+    net = build_network(level)
+    assert x_block(net) == _composed_oracle(net)
+    assert networks.x_rows(net) == tuple(map(tuple, x_block(net).rows))
+
+
+def test_x_block_returns_a_matrix_the_caller_may_modify():
+    net = build_network(2)
+    first = x_block(net)
+    first.rows[0][0] = ExactCoeff(7)
+    first.rows[1] = [ExactCoeff(0)] * 8
+    first.rows.append([ExactCoeff(1)] * 8)
+    second = x_block(net)
+    assert second is not first
+    assert second == _composed_oracle(net)
+    assert second.shape == (8, 8)
+
+
+def test_sign_form_is_the_composed_matrix_times_2_sqrt2():
+    h = eightsplitter_sign_form()
+    assert h.dtype == np.int64
+    assert h.tolist() == [list(r) for r in EIGHTSPLITTER_SIGNS]
+    s = x_block(build_network(2))
+    for row, hrow in zip(s.rows, h.tolist()):
+        for entry, sign in zip(row, hrow):
+            assert entry == ExactCoeff.from_half_power(sign, 3)
+    with pytest.raises(ValueError):
+        h[0, 0] = 0
+
+
+@pytest.mark.parametrize("bad", [ExactCoeff.from_half_power(1, 2),
+                                 ExactCoeff.from_half_power(2, 3),
+                                 ExactCoeff(0)])
+def test_sign_form_rejects_other_entries(monkeypatch, bad):
+    rows = [list(r) for r in networks.eightsplitter_matrix()]
+    rows[3][5] = bad
+    monkeypatch.setattr(networks, "eightsplitter_matrix",
+                        lambda: tuple(map(tuple, rows)))
+    networks.eightsplitter_sign_form.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"S\[4\]\[6\]"):
+            eightsplitter_sign_form()
+    finally:
+        networks.eightsplitter_sign_form.cache_clear()
 
 
 def test_transfer_matrix_is_orthogonal():

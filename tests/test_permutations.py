@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from octorail import permutations
 from octorail.permutations import (GENERATORS, ModePermutation,
                                    SignedPermutationMatrix,
                                    TransformRejection, basis_transform,
@@ -15,6 +16,36 @@ def test_cycle_parsing_roundtrip():
     assert ModePermutation.from_cycles(p.to_cycles()) == p
 
 
+@pytest.mark.parametrize("text", [
+    "(12)junk", "12)(34)", "(1a2)", "junk(12)", "(12", "(12)(", "((12))",
+    "(19)", "(0 1)", "(1,2)", "(1\t2)", "x"])
+def test_cycle_parsing_rejects_unreadable_text(text):
+    with pytest.raises(ValueError) as exc:
+        ModePermutation.from_cycles(text)
+    assert repr(text) in str(exc.value)
+
+
+def test_cycle_parsing_rejects_repeated_modes():
+    with pytest.raises(ValueError, match="bad cycle"):
+        ModePermutation.from_cycles("(121)")
+
+
+@pytest.mark.parametrize("text", ["()", "", "  ", " (1 2) (5 6) ", "(1)"])
+def test_cycle_parsing_accepts_whitespace_and_empty_cycles(text):
+    want = (2, 1, 3, 4, 6, 5, 7, 8) if "2" in text else tuple(range(1, 9))
+    assert ModePermutation.from_cycles(text).images == want
+
+
+@pytest.mark.parametrize("images", [
+    (True, 2, 3, 4, 5, 6, 7, 8),
+    (1, 2, 3, 4, 5, 6, 7, 8.0),
+    (1, 2, 3, 4, 5, 6, 7, "8"),
+])
+def test_images_must_be_ints(images):
+    with pytest.raises(ValueError, match="ints"):
+        ModePermutation(images)
+
+
 def test_compose_and_inverse():
     p = ModePermutation.from_cycles("(1234)")
     q = ModePermutation.from_cycles("(56)")
@@ -24,6 +55,58 @@ def test_compose_and_inverse():
 
 def test_group_order():
     assert len(generate_allowed()) == 1344
+
+
+def _closure_oracle(generators):
+    """The tuple-by-tuple closure: multiply every generator into each new
+    element until no product is new."""
+    frontier = {ModePermutation.identity().images}
+    gens = [g.images for g in generators]
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for gi in gens:
+            for h in frontier:
+                prod = tuple(gi[j - 1] for j in h)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.add(prod)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _transposition_pair_generators():
+    gens = []
+    for tset in permutations.TRANSPOSITION_SETS:
+        for (a, b), (c, d) in itertools.combinations(tset, 2):
+            images = list(range(1, 9))
+            images[a - 1], images[b - 1] = b, a
+            images[c - 1], images[d - 1] = d, c
+            gens.append(ModePermutation(tuple(images)))
+    return gens
+
+
+@pytest.mark.parametrize("generators", [
+    GENERATORS, _transposition_pair_generators(),
+    # a group of order 6: the closure does not assume the order 1344
+    [ModePermutation.from_cycles("(123)"),
+     ModePermutation.from_cycles("(45)")],
+], ids=["generators", "sets", "order-6"])
+def test_closure_matches_the_tuple_oracle(generators):
+    group = permutations._closure(generators)
+    assert group == _closure_oracle(generators)
+    assert all(type(i) is int for images in group for i in images)
+    # closed under every generator
+    for g in generators:
+        for h in group:
+            assert tuple(g.images[j - 1] for j in h) in group
+
+
+def test_lex_s8_is_itertools_order():
+    table = permutations._lex_s8()
+    assert table.shape == (40320, 8)
+    assert table.tolist() == [list(p) for p in
+                              itertools.permutations(range(8))]
 
 
 def test_coset_count_and_disjointness():

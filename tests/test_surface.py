@@ -377,6 +377,54 @@ def test_macronode_model_shape():
     assert all(len(r) == 26 for r in rows)
 
 
+def _macronode_rows_oracle():
+    """The model's rows built entry by entry in ExactCoeff: each Bell pair
+    as Hadamard, beamsplitter, Hadamard on its rows, then the composed
+    eightsplitter S on the local x rows and on the local p rows."""
+    wires = surface.WIRES
+    n = 2 * len(wires)
+    rows = [[ExactCoeff(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def quads(wire):
+        return wires.index(wire), len(wires) + wires.index(wire)
+
+    def hadamard(wire):
+        ix, ip = quads(wire)
+        rows[ix], rows[ip] = rows[ip], [ZERO - e for e in rows[ix]]
+
+    def beamsplitter(a, b):
+        for ia, ib in zip(quads(a), quads(b)):
+            ra, rb = rows[ia], rows[ib]
+            rows[ia] = [(ea - eb) * HALF_SQRT2 for ea, eb in zip(ra, rb)]
+            rows[ib] = [(ea + eb) * HALF_SQRT2 for ea, eb in zip(ra, rb)]
+
+    for local, partner, h_wire, orient in BELL_WIRING:
+        hadamard(h_wire)
+        if orient:
+            beamsplitter(partner, local)
+        else:
+            beamsplitter(local, partner)
+        hadamard(h_wire)
+    s = x_block(build_network(2)).rows
+    for block in (0, len(wires)):
+        old = [rows[block + j] for j in range(8)]
+        for d in range(8):
+            rows[block + d] = [sum((s[d][j] * old[j][i] for j in range(8)),
+                                   ZERO) for i in range(n)]
+    return rows
+
+
+def test_macronode_model_equals_the_exact_coefficient_oracle():
+    rows = surface.MacronodeModel().rows
+    want = _macronode_rows_oracle()
+    assert len(rows) == len(want) == 26
+    for got_row, want_row in zip(rows, want):
+        assert len(got_row) == 26
+        for got, ref in zip(got_row, want_row):
+            assert type(got) is ExactCoeff
+            assert (got.p, got.q, got.d) == (ref.p, ref.q, ref.d)
+
+
 @given(st.floats(-20, 20, allow_nan=False),
        st.lists(st.floats(-20, 20, allow_nan=False), max_size=6))
 def test_gkp_bin_residual_range(value, more):
