@@ -3,16 +3,17 @@
 The gate induced by a choice of homodyne angles is computed in the ideal
 (infinitely squeezed ancilla) limit.  Each logical wire enters the network
 on an input mode; its Bell ancilla enters on a Bell mode, whose partner is
-the output.  The Bell nullifiers x_b = x_out and p_b = -p_out are
-substituted, leaving one square system of n = 2k rows, one per detector:
-detector d measures sum_j S[d][j] (cos t_d x_j + sin t_d p_j) = m_d.  Its
-unknowns are the Bell-mode quadratures (x_b, p_b); the input quadratures
-and the outcomes m form the right-hand side.  The solution with its p rows
-negated is the output as a linear map of the inputs (the induced symplectic
-gate) plus a linear map of the outcomes (the displacement rule).  Angles
-that are multiples of pi/4 are solved exactly over Q(sqrt2), others in
-floating point.  The angle search solves the floating-point system for a
-whole batch of angle vectors at once, with its derivative in closed form.
+the output.  Substituting the Bell nullifiers x_b = x_out and p_b = -p_out
+leaves one square system of n = 2k rows, one per detector: detector d
+measures sum_j S[d][j] (cos t_d x_j + sin t_d p_j) = m_d.  Its unknowns are
+the output quadratures (x_out, p_out); the input quadratures and the
+outcomes m form the right-hand side.  The solution is the output as a
+linear map of the inputs (the induced symplectic gate) plus a linear map
+of the outcomes (the displacement rule).  Angles that are multiples of
+pi/4 are solved exactly over Q(sqrt2), others in floating point; both
+build the system with the same function.  The angle search solves the
+floating-point system for a whole batch of angle vectors at once, with its
+derivative in closed form.
 """
 
 from __future__ import annotations
@@ -39,22 +40,36 @@ class DegenerateMeasurementError(ValueError):
     """theta2 == theta1 (mod pi): the two homodynes are not independent."""
 
 
+def _require_finite(values: dict):
+    """Raise ValueError naming the first entry of ``values`` (parameter
+    name -> number) that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value}")
+
+
+def _homodyne_delta(theta1, theta2, **outcomes) -> float:
+    """theta2 - theta1 for a pair of homodynes, after checking that every
+    argument is finite and that the two homodynes are independent."""
+    _require_finite({"theta1": theta1, "theta2": theta2, **outcomes})
+    delta = theta2 - theta1
+    if abs(math.sin(delta)) < 1e-12:
+        raise DegenerateMeasurementError("theta2 - theta1 is a multiple of pi")
+    return delta
+
+
 def teleported_gate_v(theta1: float, theta2: float) -> SymplecticMap:
     """Single-mode gate enacted by one teleportation step at homodyne
     angles (theta1, theta2): a shear of 2/tan(theta2-theta1) sandwiched
     between two equal rotations."""
-    delta = theta2 - theta1
-    if abs(math.sin(delta)) < 1e-12:
-        raise DegenerateMeasurementError("theta2 - theta1 is a multiple of pi")
+    delta = _homodyne_delta(theta1, theta2)
     r = make_rotation(theta1)
     return r @ make_shear(2.0 / math.tan(delta)) @ r
 
 
 def displacement_mu(m1: float, m2: float, theta1: float, theta2: float) -> complex:
     """Outcome-dependent displacement accompanying teleported_gate_v."""
-    delta = theta2 - theta1
-    if abs(math.sin(delta)) < 1e-12:
-        raise DegenerateMeasurementError("theta2 - theta1 is a multiple of pi")
+    delta = _homodyne_delta(theta1, theta2, m1=m1, m2=m2)
     return -1j * (m1 * np.exp(-1j * theta2) + m2 * np.exp(-1j * theta1)) \
         / math.sin(delta)
 
@@ -101,19 +116,21 @@ def _default_wiring(n: int) -> tuple:
 def _detector_system(sx, wiring, cos, sin):
     """The detector system M X = R at a batch of angle vectors.
 
-    ``cos`` and ``sin`` hold cos t_d and sin t_d, shape (batch, n).  Row d
-    of M is [S_bell[d] cos t_d | S_bell[d] sin t_d] over the Bell-mode
-    unknowns (x_b, p_b); row d of R is [-S_in[d] cos t_d | -S_in[d] sin t_d
-    | e_d] over the input quadratures and the outcomes.  Returns M, shape
-    (batch, n, n), and R, shape (batch, n, 2n).
+    ``cos`` and ``sin`` hold cos t_d and sin t_d, shape (batch, n), of the
+    dtype of the x-block ``sx`` (float, or object for ExactCoeff).  Row d
+    of M is [S_bell[d] cos t_d | -S_bell[d] sin t_d] over the output
+    quadratures (x_out, p_out), the nullifier p_b = -p_out giving the
+    sign; row d of R is [-S_in[d] cos t_d | -S_in[d] sin t_d | e_d] over
+    the input quadratures and the outcomes.  The solution X is the output
+    itself.  Returns M, shape (batch, n, n), and R, shape (batch, n, 2n).
     """
     n = sx.shape[0]
     s_bell = sx[:, [b for _, b in wiring]]
     s_in = sx[:, [a for a, _ in wiring]]
     c, s = cos[..., None], sin[..., None]
-    m = np.concatenate([s_bell * c, s_bell * s], axis=-1)
-    rhs = np.concatenate([-(s_in * c), -(s_in * s),
-                          np.broadcast_to(np.eye(n), m.shape)], axis=-1)
+    m = np.concatenate([s_bell * c, -(s_bell * s)], axis=-1)
+    eye = np.broadcast_to(np.eye(n, dtype=sx.dtype), m.shape)
+    rhs = np.concatenate([-(s_in * c), -(s_in * s), eye], axis=-1)
     return m, rhs
 
 
@@ -129,42 +146,34 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     n = network.n_modes
     if len(angles) != n:
         raise ValueError("angle count must equal detector count")
+    _require_finite({f"angles[{d}]": t for d, t in enumerate(angles)})
     if wiring is None:
         wiring = _default_wiring(n)
     wiring = tuple((int(a), int(b)) for a, b in wiring)
     if sorted([m for w in wiring for m in w]) != list(range(n)):
         raise ValueError("wiring must partition the network modes")
     k = n // 2
-    # Row d is detector d's projection: Bell-mode unknowns (x_b, p_b) on the
-    # left, input quadratures and outcome m_d on the right.  The nullifiers
-    # x_b = x_out and p_b = -p_out give the output: the solution with its
-    # p rows negated.
     eighths = [_eighth_multiple(t) for t in angles]
     if None in eighths:  # angles such as arctan 2
-        m, rhs = _detector_system(
-            _float_x_block(network), wiring,
-            np.array([[math.cos(t) for t in angles]]),
-            np.array([[math.sin(t) for t in angles]]))
+        sx = _float_x_block(network)
+        cos = [math.cos(t) for t in angles]
+        sin = [math.sin(t) for t in angles]
+    else:
+        sx = np.array(x_rows(network), dtype=object)
+        cos = [_EIGHTH[e % 8] for e in eighths]
+        sin = [_EIGHTH[(e + 6) % 8] for e in eighths]
+    m, rhs = _detector_system(sx, wiring, np.array([cos], sx.dtype),
+                              np.array([sin], sx.dtype))
+    if sx.dtype != object:
         if abs(np.linalg.det(m[0])) < 1e-12:
             raise NonImplementableGateError("singular constraint system")
         out = np.linalg.solve(m[0], rhs[0])
-        out[k:] *= -1.0
         return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
-    sx = x_rows(network)
-    bell = [b for _, b in wiring]
-    inputs = [a for a, _ in wiring]
-    m_rows, rhs_rows = [], []
-    for d, e in enumerate(eighths):
-        row, c, s = sx[d], _EIGHTH[e % 8], _EIGHTH[(e + 6) % 8]
-        m_rows.append([row[j] * c for j in bell] + [row[j] * s for j in bell])
-        rhs_rows.append([-(row[j] * c) for j in inputs]
-                        + [-(row[j] * s) for j in inputs]
-                        + [int(i == d) for i in range(n)])
     try:
-        sol = solve_exact(ExactMatrix(m_rows), ExactMatrix(rhs_rows)).rows
+        out = solve_exact(ExactMatrix(m[0].tolist()),
+                          ExactMatrix(rhs[0].tolist())).rows
     except ValueError as exc:
         raise NonImplementableGateError(str(exc)) from exc
-    out = sol[:k] + [[-e for e in r] for r in sol[k:]]
     a_exact = ExactMatrix([r[:n] for r in out])
     b_exact = ExactMatrix([r[n:] for r in out])
     return TeleportedGate(SymplecticMap(k, a_exact.to_float()),
@@ -304,9 +313,8 @@ def _gate_residuals(sx, target, theta):
     x, m_inv = sol[..., :n], sol[..., n:]
     dm, drhs = _detector_system(sx, wiring, -np.sin(theta), np.cos(theta))
     v = drhs[..., :n] - dm @ x  # row d: dR_d - dM_d X
-    sign = np.repeat([1.0, -1.0], n // 2)[:, None]
-    resid = sign * x - target
-    jac = sign[:, :, None] * np.einsum("bid,bdj->bijd", m_inv, v)
+    resid = x - target
+    jac = np.einsum("bid,bdj->bijd", m_inv, v)
     return (resid.reshape(len(theta), n * n),
             jac.reshape(len(theta), n * n, n), ok)
 

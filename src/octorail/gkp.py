@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .gates import DegenerateMeasurementError
+from .gates import _homodyne_delta
 from .phasespace import (SymplecticMap, identity_map, make_rotation,
                          make_squeeze)
 
@@ -191,18 +191,16 @@ def transform_angles(theta1: float, theta2: float,
     form is validated against the matrix identity).  The branch with
     cos(theta') = 0 (theta1 + w2 a multiple of pi) is handled separately.
     """
-    if abs(math.sin(theta2 - theta1)) < 1e-12:
-        raise DegenerateMeasurementError(
-            "theta2 - theta1 is a multiple of pi")
+    delta = _homodyne_delta(theta1, theta2)
     w1, lam, w2 = decompose_rpr(encoding.u_g)
     s = theta1 + w2
     if abs(math.sin(s)) < 1e-10:
         phi1 = w1
-        phi2 = math.atan2(1.0, _cot(theta2 - theta1) - lam) + phi1
+        phi2 = math.atan2(1.0, _cot(delta) - lam) + phi1
         return _fold_angle(phi1), _fold_angle(phi2)
     phi1 = w1 - math.pi / 2 - math.atan(_cot(s) - lam)
     ratio = math.sin(s) ** 2 / math.sin(phi1 - w1) ** 2
-    inner = ratio * (_cot(theta2 - theta1) + _cot(s)) - _cot(phi1 - w1)
+    inner = ratio * (_cot(delta) + _cot(s)) - _cot(phi1 - w1)
     phi2 = math.atan2(1.0, inner) + phi1
     return _fold_angle(phi1), _fold_angle(phi2)
 

@@ -208,23 +208,17 @@ class MacronodeModel:
         return self.rows[_sym_index(label)]
 
 
-_MODEL = None
-
-
+@lru_cache(maxsize=1)
 def macronode_model() -> MacronodeModel:
-    global _MODEL
-    if _MODEL is None:
-        _MODEL = MacronodeModel()
-    return _MODEL
+    return MacronodeModel()
 
 
 # --------------------------------------------------------------------------
 # reference teleportation identities of the data bases
 # --------------------------------------------------------------------------
 
-_ALLOWED = {ExactCoeff(0), ExactCoeff(1), ExactCoeff(-1), SQRT2,
-            ZERO - SQRT2, HALF_SQRT2, ZERO - HALF_SQRT2,
-            SQRT2 * 2, ZERO - SQRT2 * 2}
+_ALLOWED = {ExactCoeff(0), ExactCoeff(1), ExactCoeff(-1), SQRT2, -SQRT2,
+            HALF_SQRT2, -HALF_SQRT2, SQRT2 * 2, -SQRT2 * 2}
 
 
 @dataclass(frozen=True)
@@ -243,20 +237,14 @@ class QuadratureRelation:
 
 
 def _rel(out, coeffs, record):
-    c = {}
-    for label, val in coeffs.items():
-        if val == "s2":
-            c[label] = SQRT2
-        elif val == "-s2":
-            c[label] = ZERO - SQRT2
-        elif val == "hs":
-            c[label] = HALF_SQRT2
-        elif val == "-hs":
-            c[label] = ZERO - HALF_SQRT2
-        else:
-            c[label] = ExactCoeff(val)
+    """The relation of ``out`` with coefficients given as ints or
+    ExactCoeffs and the displacement record in units of 1/sqrt2."""
     disp = {f"m{d + 1}": HALF_SQRT2 * record[d] for d in range(8)}
-    return QuadratureRelation(out, c, disp)
+    return QuadratureRelation(
+        out, {label: val * ONE for label, val in coeffs.items()}, disp)
+
+
+_S2, _HS = SQRT2, HALF_SQRT2
 
 
 #: Identities of the even data basis: the teleported quadratures of the
@@ -272,33 +260,32 @@ def _rel(out, coeffs, record):
 #: six records also supply the wrong data-mode part (x1, p1) to their
 #: relation; reversed, all six supply the right one.
 EVEN_DATA_RELATIONS = (
-    _rel("x1'", {"x1": -1, "x6'": "hs", "x7'": "hs", "p5": "s2",
-                 "p6": "-hs", "p7": "-hs", "p8": "s2"},
+    _rel("x1'", {"x1": -1, "x6'": _HS, "x7'": _HS, "p5": _S2,
+                 "p6": -_HS, "p7": -_HS, "p8": _S2},
          [0, 1, 1, -2, 0, 1, 1, 2]),  # printed [2, 1, 1, 0, -2, 1, 1, 0]
-    _rel("p1'", {"p1": -1, "x2'": "-hs", "x3'": "-hs", "p2": "hs",
-                 "p3": "hs", "p4": "-s2", "p1'": "s2"},
+    _rel("p1'", {"p1": -1, "x2'": -_HS, "x3'": -_HS, "p2": _HS,
+                 "p3": _HS, "p4": -_S2, "p1'": _S2},
          [0, 1, 1, 2, 0, -1, -1, 2]),  # printed [2, -1, -1, 0, 2, 1, 1, 0]
-    _rel("x2'", {"x2'": "hs", "p3": "hs"}, [0] * 8),
-    _rel("p2'", {"p2'": "s2", "x1": 1},
+    _rel("x2'", {"x2'": _HS, "p3": _HS}, [0] * 8),
+    _rel("p2'", {"p2'": _S2, "x1": 1},
          [-1, -1, 0, 0, -1, -1, 0, 0]),  # printed [0, 0, -1, -1, 0, 0, -1, -1]
-    _rel("x3'", {"x3'": "hs", "p2": "hs"}, [0] * 8),
-    _rel("p3'", {"p3'": "s2", "x1": 1},
+    _rel("x3'", {"x3'": _HS, "p2": _HS}, [0] * 8),
+    _rel("p3'", {"p3'": _S2, "x1": 1},
          [-1, 0, -1, 0, -1, 0, -1, 0]),  # printed [0, -1, 0, -1, 0, -1, 0, -1]
-    _rel("x6'", {"x6'": "hs", "p7": "hs"}, [0] * 8),
-    _rel("p6'", {"p1": 1, "x2'": "hs", "x3'": "hs", "p6'": "s2",
-                 "p2": "-hs", "p3": "-hs", "p4": "s2"},
+    _rel("x6'", {"x6'": _HS, "p7": _HS}, [0] * 8),
+    _rel("p6'", {"p1": 1, "x2'": _HS, "x3'": _HS, "p6'": _S2,
+                 "p2": -_HS, "p3": -_HS, "p4": _S2},
          [-1, -1, 0, -2, 1, 1, 0, -2]),  # printed [-2, 0, 1, 1, -2, 0, -1, -1]
-    _rel("x7'", {"x7'": "hs", "p6": "hs"}, [0] * 8),
-    _rel("p7'", {"p1": 1, "x2'": "hs", "x3'": "hs", "p7'": "s2",
-                 "p2": "-hs", "p3": "-hs", "p4": "s2"},
+    _rel("x7'", {"x7'": _HS, "p6": _HS}, [0] * 8),
+    _rel("p7'", {"p1": 1, "x2'": _HS, "x3'": _HS, "p7'": _S2,
+                 "p2": -_HS, "p3": -_HS, "p4": _S2},
          [-1, 0, -1, -2, 1, 0, 1, -2]),  # printed [-2, 1, 0, 1, -2, -1, 0, -1]
 )
 
 #: Intermediate quadrature used by the regrouped forms of p6' and p7' in the
 #: even basis ("p5 prime"): p6'' = sqrt2*p6' + p5', likewise for p7''.
 EVEN_P5_PRIME = {"p1": ExactCoeff(1), "x2'": HALF_SQRT2, "x3'": HALF_SQRT2,
-                 "p2": ZERO - HALF_SQRT2, "p3": ZERO - HALF_SQRT2,
-                 "p5": SQRT2}
+                 "p2": -HALF_SQRT2, "p3": -HALF_SQRT2, "p5": SQRT2}
 
 #: Identities of the odd data basis.  The printed records of p2' and p3'
 #: carry (m1, m8) = (2, -2), as x1' does.  Only the p-detectors 1 and 8 see
@@ -309,31 +296,30 @@ EVEN_P5_PRIME = {"p1": ExactCoeff(1), "x2'": HALF_SQRT2, "x3'": HALF_SQRT2,
 #: records below use m1 = -2 (equivalently m8 = +2) and keep the printed
 #: list in the comment.
 ODD_DATA_RELATIONS = (
-    _rel("x1'", {"x1": -1, "x2'": "-hs", "x3'": "-hs", "p2": "hs",
-                 "p3": "hs", "p5": "s2", "p8": "s2"},
+    _rel("x1'", {"x1": -1, "x2'": -_HS, "x3'": -_HS, "p2": _HS,
+                 "p3": _HS, "p5": _S2, "p8": _S2},
          [2, 1, 1, 0, 0, 1, 1, -2]),
-    _rel("p1'", {"p1": -1, "x6'": "hs", "x7'": "hs", "p4": "-s2",
-                 "p6": "-hs", "p7": "-hs", "p1'": "s2"},
+    _rel("p1'", {"p1": -1, "x6'": _HS, "x7'": _HS, "p4": -_S2,
+                 "p6": -_HS, "p7": -_HS, "p1'": _S2},
          [2, -1, -1, 0, 0, 1, 1, 2]),
-    _rel("x2'", {"x2'": "hs", "p3": "hs"}, [0] * 8),
-    _rel("p2'", {"p1": -1, "p2'": "s2", "x6'": "hs", "x7'": "hs",
-                 "p4": "-s2", "p6": "-hs", "p7": "-hs"},
+    _rel("x2'", {"x2'": _HS, "p3": _HS}, [0] * 8),
+    _rel("p2'", {"p1": -1, "p2'": _S2, "x6'": _HS, "x7'": _HS,
+                 "p4": -_S2, "p6": -_HS, "p7": -_HS},
          [-2, 0, -1, -1, 1, 1, 0, -2]),  # printed [2, 0, -1, -1, 1, 1, 0, -2]
-    _rel("x3'", {"x3'": "hs", "p2": "hs"}, [0] * 8),
-    _rel("p3'", {"p1": -1, "p3'": "s2", "x6'": "hs", "x7'": "hs",
-                 "p4": "-s2", "p6": "-hs", "p7": "-hs"},
+    _rel("x3'", {"x3'": _HS, "p2": _HS}, [0] * 8),
+    _rel("p3'", {"p1": -1, "p3'": _S2, "x6'": _HS, "x7'": _HS,
+                 "p4": -_S2, "p6": -_HS, "p7": -_HS},
          [-2, -1, 0, -1, 1, 0, 1, -2]),  # printed [2, -1, 0, -1, 1, 0, 1, -2]
-    _rel("x6'", {"x6'": "hs", "p7": "hs"}, [0] * 8),
-    _rel("p6'", {"p6'": "s2", "x1": -1}, [0, 0, 1, 1, 1, 1, 0, 0]),
-    _rel("x7'", {"x7'": "hs", "p6": "hs"}, [0] * 8),
-    _rel("p7'", {"p7'": "s2", "x1": -1}, [0, 1, 0, 1, 1, 0, 1, 0]),
+    _rel("x6'", {"x6'": _HS, "p7": _HS}, [0] * 8),
+    _rel("p6'", {"p6'": _S2, "x1": -1}, [0, 0, 1, 1, 1, 1, 0, 0]),
+    _rel("x7'", {"x7'": _HS, "p6": _HS}, [0] * 8),
+    _rel("p7'", {"p7'": _S2, "x1": -1}, [0, 1, 0, 1, 1, 0, 1, 0]),
 )
 
 #: Intermediate quadrature of the odd-basis regroupings:
 #: p2'' = sqrt2*p2' + p5', p3'' = sqrt2*p3' + p5'.
 ODD_P5_PRIME = {"p1": ExactCoeff(-1), "x6'": HALF_SQRT2, "x7'": HALF_SQRT2,
-                "p4": ZERO - SQRT2, "p6": ZERO - HALF_SQRT2,
-                "p7": ZERO - HALF_SQRT2}
+                "p4": -SQRT2, "p6": -HALF_SQRT2, "p7": -HALF_SQRT2}
 
 _DATA_RELATIONS = {"even-data": EVEN_DATA_RELATIONS,
                    "odd-data": ODD_DATA_RELATIONS}
@@ -348,11 +334,27 @@ _DATA = (_sym_index("x1"), _sym_index("p1"))
 _STEP = tuple(ExactCoeff(2) if i in _DATA else SQRT2 for i in range(_N_SYM))
 
 
-def _target_vector(rel: QuadratureRelation):
+def _symbol_vector(coefficients: dict):
+    """The symbol-space vector of a {symbol label: coefficient} dict."""
     vec = [ZERO] * _N_SYM
-    for label, coeff in rel.coefficients.items():
+    for label, coeff in coefficients.items():
         vec[_sym_index(label)] = vec[_sym_index(label)] + coeff
     return vec
+
+
+def _target_vector(rel: QuadratureRelation):
+    return _symbol_vector(rel.coefficients)
+
+
+def _leftover(target, raw, rows_m, record):
+    """target - raw - sum_d record[m_d] * rows_m[d], symbol by symbol: what
+    is left of a relation once the outcome record compensates it."""
+    left = [t - r for t, r in zip(target, raw)]
+    for d, row in enumerate(rows_m):
+        coeff = record[f"m{d + 1}"]
+        if coeff:
+            left = [c - coeff * y for c, y in zip(left, row)]
+    return left
 
 
 def _is_droppable(vec) -> bool:
@@ -518,10 +520,8 @@ def _solve_displacement(target, raw, rows_m):
     for c, g, coeffs in zip(factor.pivots, reduced, factor.r_rows):
         record[f"m{c + 1}"] = g - sum((e * n[k] for k, e in coeffs if n[k]),
                                       ZERO)
-    check = [diff[i] - sum((record[f"m{d + 1}"] * rows_m[d][i]
-                            for d in range(8)), ZERO)
-             for i in range(_N_SYM)]
-    return record if _is_droppable(check) else None
+    return record if _is_droppable(
+        _leftover(target, raw, rows_m, record)) else None
 
 
 # ---- relation verification ----------------------------------------------
@@ -561,13 +561,7 @@ def verify_relation(rel: QuadratureRelation,
     rows_m = model.measurement_rows(basis)
     raw = model.quadrature_row(rel.output_label)
     target = _target_vector(rel)
-    compensated = list(raw)
-    for d in range(8):
-        coeff = rel.displacement[f"m{d + 1}"]
-        if coeff:
-            compensated = [c + coeff * y
-                           for c, y in zip(compensated, rows_m[d])]
-    leftover = [t - c for t, c in zip(target, compensated)]
+    leftover = _leftover(target, raw, rows_m, rel.displacement)
     if _is_droppable(leftover):
         return RelationCheck(rel, "exact")
     derived = _solve_displacement(target, raw, rows_m)
@@ -582,9 +576,7 @@ def verify_regrouping(role: str) -> bool:
     """Check that the regrouped forms (via the intermediate p5') agree with
     the direct identities modulo lattice-trivial terms."""
     rels = {r.output_label: r for r in _DATA_RELATIONS[role]}
-    p5 = [ZERO] * _N_SYM
-    for label, coeff in _P5_PRIME[role].items():
-        p5[_sym_index(label)] = p5[_sym_index(label)] + coeff
+    p5 = _symbol_vector(_P5_PRIME[role])
     for out in _REGROUPED[role]:
         regrouped = list(p5)
         idx = _sym_index(out)
@@ -660,12 +652,13 @@ def extract_stabilizer(outcomes, kind: str):
         a = extract_stabilizer(first, "bulk-X")[0]
         b = extract_stabilizer(second, "bulk-X")[0]
         return [a * b]
-    combos = stabilizer_combination(kind)
+    if kind not in STABILIZERS:
+        raise ValueError(f"unknown stabilizer kind: {kind!r}")
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.shape != (8,):
         raise ValueError("expected 8 outcomes")
     return [float(sum(float(w) * m for w, m in zip(weights, outcomes)))
-            for weights, _ in combos]
+            for weights, _ in STABILIZERS[kind]]
 
 
 # --------------------------------------------------------------------------

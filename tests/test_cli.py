@@ -91,6 +91,28 @@ def test_gates_solve_rejects_non_finite_param(capsys):
                    "[[1.0, 0.0], [nan, 1.0]]\n")
 
 
+def test_gates_verify_json_is_the_recorded_report(runner, tmp_path):
+    # tests/data/gates_verify.json and tests/data/gates_solve/ were recorded
+    # before the detector system took the output quadratures as unknowns
+    path = tmp_path / "gates_verify.json"
+    result = runner.invoke(cli, ["gates", "verify", "--json", str(path)])
+    assert result.exit_code == 0
+    assert path.read_bytes() == (DATA / "gates_verify.json").read_bytes()
+
+
+@pytest.mark.parametrize("target,arity", [
+    ("identity", 1), ("fourier", 1), ("shear", 1), ("shear", 2), ("cz", 2),
+    ("swap", 2), ("fourier", 4), ("cz", 4), ("swap", 4)])
+def test_gates_solve_json_is_the_recorded_solution(runner, tmp_path, target,
+                                                   arity):
+    path = tmp_path / "solve.json"
+    result = runner.invoke(cli, ["gates", "solve", "--target", target,
+                                 "--arity", str(arity), "--json", str(path)])
+    assert result.exit_code == 0
+    want = DATA / "gates_solve" / f"{target}-{arity}.json"
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_gkp_magic_probe_rejects_nan_level(capsys):
     from octorail.gkp import heterodyne_magic_probe
 
@@ -242,6 +264,16 @@ def test_gkp_angles(runner):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert "phi1" in doc and "phi2" in doc
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_gkp_angles_rejects_non_finite_angles(capsys, theta):
+    with pytest.raises(SystemExit) as exc:
+        main(["gkp", "angles", "--theta1", theta, "--theta2", "1"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: theta1 is not finite: {float(theta)}\n"
 
 
 def test_gkp_magic_probe_csv(runner, tmp_path):

@@ -6,12 +6,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from octorail.gates import (FOURIER, DegenerateMeasurementError, GATE_TABLES,
-                            NonImplementableGateError, _float_x_block,
+from octorail.exact import ExactMatrix, solve_exact
+from octorail.gates import (_EIGHTH, FOURIER, DegenerateMeasurementError,
+                            GATE_TABLES, NonImplementableGateError,
+                            _eighth_multiple, _float_x_block,
                             _gate_residuals, _levenberg_marquardt,
                             displacement_mu, induced_gate, solve_angles,
                             teleported_gate_v, verify_gate_tables)
-from octorail.networks import build_network
+from octorail.networks import build_network, x_rows
 from octorail.phasespace import SymplecticMap, make_rotation, make_shear
 
 
@@ -396,3 +398,174 @@ def test_level0_displacement_rule_is_sqrt2_mu():
 def test_degenerate_angles_are_not_implementable(angles):
     with pytest.raises(NonImplementableGateError):
         induced_gate(build_network(0), angles)
+
+
+# ---------------------------------------------------------------------------
+# the solver as written before its unknowns became the output quadratures
+#
+# That version built the detector system over the Bell-mode quadratures
+# (x_b, p_b), by hand for pi/4 multiples and batched for other angles, and
+# negated the p rows of every solution.  Negating a column of a system
+# commutes exactly with LU with partial pivoting, so the current solver
+# must agree with it bit for bit: same floats, same exact entries, same
+# errors.
+
+
+def _bell_unknowns_system(sx, wiring, cos, sin):
+    n = sx.shape[0]
+    s_bell = sx[:, [b for _, b in wiring]]
+    s_in = sx[:, [a for a, _ in wiring]]
+    c, s = cos[..., None], sin[..., None]
+    m = np.concatenate([s_bell * c, s_bell * s], axis=-1)
+    rhs = np.concatenate([-(s_in * c), -(s_in * s),
+                          np.broadcast_to(np.eye(n), m.shape)], axis=-1)
+    return m, rhs
+
+
+def _bell_unknowns_induced_gate(network, angles):
+    n = network.n_modes
+    k = n // 2
+    wiring = tuple((2 * i, 2 * i + 1) for i in range(k))
+    eighths = [_eighth_multiple(t) for t in angles]
+    if None in eighths:
+        m, rhs = _bell_unknowns_system(
+            _float_x_block(network), wiring,
+            np.array([[math.cos(t) for t in angles]]),
+            np.array([[math.sin(t) for t in angles]]))
+        if abs(np.linalg.det(m[0])) < 1e-12:
+            raise NonImplementableGateError("singular constraint system")
+        out = np.linalg.solve(m[0], rhs[0])
+        out[k:] *= -1.0
+        return out[:, :n], out[:, n:], None, None
+    sx = x_rows(network)
+    bell = [b for _, b in wiring]
+    inputs = [a for a, _ in wiring]
+    m_rows, rhs_rows = [], []
+    for d, e in enumerate(eighths):
+        row, c, s = sx[d], _EIGHTH[e % 8], _EIGHTH[(e + 6) % 8]
+        m_rows.append([row[j] * c for j in bell] + [row[j] * s for j in bell])
+        rhs_rows.append([-(row[j] * c) for j in inputs]
+                        + [-(row[j] * s) for j in inputs]
+                        + [int(i == d) for i in range(n)])
+    try:
+        sol = solve_exact(ExactMatrix(m_rows), ExactMatrix(rhs_rows)).rows
+    except ValueError as exc:
+        raise NonImplementableGateError(str(exc)) from exc
+    out = sol[:k] + [[-e for e in r] for r in sol[k:]]
+    a_exact = ExactMatrix([r[:n] for r in out])
+    b_exact = ExactMatrix([r[n:] for r in out])
+    return a_exact.to_float(), b_exact.to_float(), a_exact, b_exact
+
+
+def _bell_unknowns_residuals(sx, target, theta):
+    n = sx.shape[0]
+    wiring = tuple((2 * i, 2 * i + 1) for i in range(n // 2))
+    m, rhs = _bell_unknowns_system(sx, wiring, np.cos(theta), np.sin(theta))
+    ok = np.abs(np.linalg.det(m)) >= 1e-12
+    m[~ok] = np.eye(n)
+    sol = np.linalg.solve(m, rhs)
+    x, m_inv = sol[..., :n], sol[..., n:]
+    dm, drhs = _bell_unknowns_system(sx, wiring, -np.sin(theta),
+                                     np.cos(theta))
+    v = drhs[..., :n] - dm @ x
+    sign = np.repeat([1.0, -1.0], n // 2)[:, None]
+    resid = sign * x - target
+    jac = sign[:, :, None] * np.einsum("bid,bdj->bijd", m_inv, v)
+    return (resid.reshape(len(theta), n * n),
+            jac.reshape(len(theta), n * n, n), ok)
+
+
+def _oracle_vectors(level, kind, count=300):
+    n = 2 ** (level + 1)
+    rng = np.random.default_rng(100 * level + (kind == "eighth"))
+    if kind == "float":
+        return rng.uniform(-math.pi, math.pi, (count, n))
+    return rng.integers(-4, 5, (count, n)) * (math.pi / 4)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["float", "eighth"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_induced_gate_equals_the_bell_unknowns_solver_bit_for_bit(level,
+                                                                 kind):
+    net = build_network(level)
+    raised = 0
+    for angles in _oracle_vectors(level, kind).tolist():
+        want = _outcome(_bell_unknowns_induced_gate, net, angles)
+        got = _outcome(induced_gate, net, angles)
+        if isinstance(want, tuple) and len(want) == 2:
+            assert got == want, angles
+            raised += 1
+            continue
+        assert got.induced_map.matrix.tobytes() == want[0].tobytes()
+        assert got.displacement_rule.tobytes() == want[1].tobytes()
+        assert got.induced_exact == want[2]
+        assert got.displacement_exact == want[3]
+        if kind == "eighth":
+            assert repr(got.induced_exact) == repr(want[2])
+            assert repr(got.displacement_exact) == repr(want[3])
+    # the pi/4 sets reach the singular systems as well
+    assert (raised > 0) == (kind == "eighth")
+
+
+@pytest.mark.parametrize("kind", ["float", "eighth"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_gate_residuals_equal_the_sign_vector_form(level, kind):
+    net = build_network(level)
+    sx = _float_x_block(net)
+    theta = _oracle_vectors(level, kind)
+    target = np.random.default_rng(7 + level).normal(size=sx.shape)
+    resid, jac, ok = _gate_residuals(sx, target, theta)
+    want_resid, want_jac, want_ok = _bell_unknowns_residuals(sx, target,
+                                                             theta)
+    assert np.array_equal(ok, want_ok)
+    assert (kind == "eighth") == (not ok.all())
+    # a singular system carries placeholder values, finite in both forms;
+    # a zero in the Jacobian may differ in sign from the negated one
+    assert resid[ok].tobytes() == want_resid[ok].tobytes()
+    assert np.array_equal(jac[ok], want_jac[ok])
+    assert np.isfinite(resid).all() and np.isfinite(jac).all()
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_teleported_gate_v_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="^theta1 is not finite"):
+        teleported_gate_v(bad, 1.0)
+    with pytest.raises(ValueError, match="^theta2 is not finite"):
+        teleported_gate_v(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_displacement_mu_rejects_non_finite_parameters(bad):
+    for name, args in (("m1", (bad, 1.0, 0.0, 1.0)),
+                       ("m2", (1.0, bad, 0.0, 1.0)),
+                       ("theta1", (1.0, 1.0, bad, 1.0)),
+                       ("theta2", (1.0, 1.0, 0.0, bad))):
+        with pytest.raises(ValueError, match=f"^{name} is not finite"):
+            displacement_mu(*args)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_induced_gate_names_the_non_finite_angle(bad):
+    with pytest.raises(ValueError,
+                       match=rf"^angles\[0\] is not finite: {bad}$"):
+        induced_gate(build_network(0), [bad, 1.0])
+    with pytest.raises(ValueError, match=r"^angles\[2\] is not finite"):
+        induced_gate(build_network(1), [0.0, 1.0, bad, math.pi / 4])
+
+
+def test_degenerate_angles_still_raise_their_own_error():
+    with pytest.raises(DegenerateMeasurementError):
+        displacement_mu(1.0, 2.0, 0.4, 0.4 + math.pi)

@@ -174,6 +174,15 @@ def test_degenerate_angles_raise():
         transform_angles(0.3, 0.3 + math.pi, hexagonal_encoding())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_transform_angles_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match=f"^theta1 is not finite: {bad}$"):
+        transform_angles(bad, 1.0, square_encoding())
+    with pytest.raises(ValueError, match="^theta2 is not finite"):
+        transform_angles(1.0, bad, hexagonal_encoding())
+
+
 def test_returned_angles_are_folded():
     phi1, phi2 = transform_angles(1.2, 2.9, hexagonal_encoding())
     for phi in (phi1, phi2):

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +362,60 @@ def test_stabilizer_combination_rejects_unknown_kind():
     for kind in ("double", "twist", "bulk-Z", ""):
         with pytest.raises(ValueError, match="unknown stabilizer kind"):
             stabilizer_combination(kind)
+
+
+def test_record_solver_checks_its_record_with_the_relation_residual(
+        monkeypatch):
+    # a lattice integer off by one half gives a record whose residual is an
+    # odd multiple of half a lattice step; the final check must refuse it
+    model = macronode_model()
+    rel = _relation("even-data", "x1'")
+    args = (_target_vector(rel), model.quadrature_row("x1'"),
+            model.measurement_rows(basis_preset("even-data")))
+    assert _solve_displacement(*args) is not None
+    solve = surface._back_substitute
+
+    def off_by_half(a, v, rhs):
+        n = solve(a, v, rhs)
+        return [n[0] + Fraction(1, 2)] + n[1:]
+
+    monkeypatch.setattr(surface, "_back_substitute", off_by_half)
+    assert _solve_displacement(*args) is None
+
+
+def test_relation_tables_hold_the_recorded_coefficients():
+    # tests/data/relations.json holds every relation's coefficients and
+    # record, and both p5' tables, as (p, q, d) triples, recorded while the
+    # tables were still written in string codes
+    want = json.loads((Path(__file__).parent / "data" / "relations.json")
+                      .read_text())
+
+    def triples(coeffs):
+        return [[k, [v.p, v.q, v.d]] for k, v in coeffs.items()]
+
+    for role, rels in _DATA_RELATIONS.items():
+        assert [{"output": r.output_label,
+                 "coefficients": triples(r.coefficients),
+                 "displacement": triples(r.displacement)}
+                for r in rels] == want[role]["relations"]
+        assert triples(surface._P5_PRIME[role]) == want[role]["p5_prime"]
+    assert sorted([c.p, c.q, c.d] for c in surface._ALLOWED) \
+        == want["allowed"]
+
+
+def test_extract_stabilizer_rejects_unknown_kind():
+    for kind in ("bulk-Z", ""):
+        with pytest.raises(ValueError, match="unknown stabilizer kind"):
+            extract_stabilizer([0.0] * 8, kind)
+
+
+def test_extract_stabilizer_reads_the_combination_weights():
+    rng = np.random.default_rng(4)
+    for kind in surface.STABILIZERS:
+        outcomes = rng.normal(size=8)
+        want = [float(sum(float(w) * m for w, m in zip(weights, outcomes)))
+                for weights, _ in stabilizer_combination(kind)]
+        assert extract_stabilizer(outcomes, kind) == want
 
 
 def test_extract_stabilizer_values():
