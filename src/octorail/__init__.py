@@ -20,6 +20,7 @@ from .gkp import (Encoding, Grid, GridWavefunction, LogicalAction,
 from .lattice import (LatticeSpec, MacronodeGraph, build_lattice,
                       coords_to_index, index_to_coords, neighbors, rhg_view,
                       surface_layout, wiring_variant)
+from .memory import MemoryResult, gkp_bin, memory_experiment, wilson_interval
 from .networks import (EIGHTSPLITTER_SIGNS, SplitterNetwork, build_network,
                        cancel_layer, check_layer_commutation, layer_matrix,
                        verify_eightsplitter, x_block)
@@ -29,9 +30,9 @@ from .permutations import (GENERATORS, ModePermutation, basis_transform,
 from .phasespace import (GaussianState, SymplecticMap, identity_map,
                          make_beamsplitter, make_cz, make_rotation,
                          make_shear, make_squeeze)
-from .surface import (MeasurementBasis, MemoryResult, basis_preset,
+from .surface import (MeasurementBasis, basis_preset,
                       derive_quadrature_relations, extract_stabilizer,
-                      gkp_bin, memory_experiment, stabilizer_combination,
-                      verify_regrouping, verify_relation, wilson_interval)
+                      stabilizer_combination, verify_regrouping,
+                      verify_relation)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import time
 import click
 import numpy as np
 
-from . import gates, gkp, networks, permutations, surface
+from . import gates, gkp, memory, networks, permutations, surface
 from .lattice import LatticeSpec, build_lattice, surface_layout
 from .phasespace import SymplecticMap
 
@@ -406,7 +406,7 @@ def surface_memory(ctx, distance, db, rounds, trials, seed, csv_path):
     rounds = _cfg(ctx, "rounds", rounds, distance)
     trials = _cfg(ctx, "trials", trials, 10000)
     seed = _cfg(ctx, "seed", seed, 7)
-    res = surface.memory_experiment(distance, db, rounds, trials, seed)
+    res = memory.memory_experiment(distance, db, rounds, trials, seed)
     config = {"d": distance, "db": db, "rounds": rounds, "trials": trials,
               "seed": seed}
     _write_csv(csv_path, config,

@@ -19,6 +19,7 @@ derivative in closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,19 @@ def _require_finite(values: dict):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: {value}")
+
+
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int, after checking that it is an integer (a
+    NumPy one counts, a bool does not) and not below ``least``, 0 or 1;
+    ``ValueError`` naming ``name`` otherwise.  Fixed-width NumPy counts
+    would overflow in the products that callers form from them."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return operator.index(value)
 
 
 def _homodyne_delta(theta1, theta2, **outcomes) -> float:
@@ -91,8 +105,11 @@ _EIGHTH = {
 
 
 def _eighth_multiple(theta: float):
-    """Return integer k with theta = k*pi/4 to within 1e-12*pi/4, or None."""
-    k = theta / (math.pi / 4)
+    """Return integer k in [-4, 4] with theta = k*pi/4 (mod 2pi) to within
+    1e-12*pi/4, or None.  theta is reduced by atan2 of its sine and cosine,
+    as exactly as the float path's own ``math.cos`` and ``math.sin``: above
+    about 1e15, every float's quotient theta/(pi/4) is a whole number."""
+    k = math.atan2(math.sin(theta), math.cos(theta)) / (math.pi / 4)
     kr = round(k)
     if abs(k - kr) < 1e-12:
         return kr

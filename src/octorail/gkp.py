@@ -18,14 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .gates import _homodyne_delta
+from .gates import _homodyne_delta, _require_int
 from .phasespace import (SymplecticMap, identity_map, make_rotation,
                          make_squeeze)
 
@@ -524,10 +523,7 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
     """
     _check_delta_sq(delta_sq)
     if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        seed = _require_int("seed", seed, 0)
     grid = input_wf.grid
     axis = grid.axis
     s2 = math.sqrt(2)
@@ -717,15 +713,8 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     gives for its alpha.  NumPy integer counts are used, and echoed, as
     Python ints.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value,
-                                                     (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    samples, seed = operator.index(samples), operator.index(seed)
+    samples = _require_int("samples", samples, 1)
+    seed = _require_int("seed", seed, 0)
     grid = grid or default_grid()
     kernels = _probe_kernels(delta_sq, grid)
     rng = np.random.default_rng(seed)

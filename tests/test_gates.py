@@ -11,6 +11,7 @@ from octorail.gates import (_EIGHTH, FOURIER, DegenerateMeasurementError,
                             GATE_TABLES, NonImplementableGateError,
                             _eighth_multiple, _float_x_block,
                             _gate_residuals, _levenberg_marquardt,
+                            _require_int,
                             displacement_mu, induced_gate, solve_angles,
                             teleported_gate_v, verify_gate_tables)
 from octorail.networks import build_network, x_rows
@@ -564,6 +565,35 @@ def test_induced_gate_names_the_non_finite_angle(bad):
         induced_gate(build_network(0), [bad, 1.0])
     with pytest.raises(ValueError, match=r"^angles\[2\] is not finite"):
         induced_gate(build_network(1), [0.0, 1.0, bad, math.pi / 4])
+
+
+@pytest.mark.parametrize("angles", [(1e16, 1e16 + 6.0),
+                                    (1e17, 1e17 + 96.0)])
+def test_huge_angles_are_reduced_before_the_eighth_test(angles):
+    """Beyond about 1e15 every float is a whole number of pi/4 by its
+    quotient; reduced mod 2pi, these angles are not, so induced_gate takes
+    the float path and gives teleported_gate_v's gate."""
+    assert [_eighth_multiple(t) for t in angles] == [None, None]
+    got = induced_gate(build_network(0), angles).induced_map.matrix
+    want = teleported_gate_v(*angles).matrix
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a multiple of pi/4 stays one after the reduction, with its class mod 8
+    for k in range(-12, 13):
+        assert _eighth_multiple(k * math.pi / 4) % 8 == k % 8
+
+
+def test_require_int_checks_once_for_every_caller():
+    assert _require_int("n", np.uint8(200), 1) == 200
+    assert type(_require_int("n", np.int16(3), 0)) is int
+    assert _require_int("seed", 0, 0) == 0
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            _require_int("n", bad, 0)
+    with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+        _require_int("n", 0, 1)
+    with pytest.raises(ValueError,
+                       match="^seed must be non-negative, got -2$"):
+        _require_int("seed", np.int64(-2), 0)
 
 
 def test_degenerate_angles_still_raise_their_own_error():

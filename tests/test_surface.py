@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octorail import surface
+from octorail import memory, surface
 from octorail.exact import HALF_SQRT2, SQRT2, ZERO, ExactCoeff
+from octorail.memory import (SQRT_PI, gkp_bin, memory_experiment,
+                             wilson_interval)
 from octorail.networks import build_network, x_block
-from octorail.surface import (BELL_WIRING, SQRT_PI, MeasurementBasis,
+from octorail.surface import (BELL_WIRING, MeasurementBasis,
                               QuadratureRelation, _DATA_RELATIONS, _rel,
                               _solve_displacement, _target_vector,
                               basis_preset, derive_quadrature_relations,
-                              extract_stabilizer, gkp_bin, macronode_model,
-                              memory_experiment, stabilizer_combination,
-                              sym_label, verify_regrouping, verify_relation,
-                              wilson_interval)
+                              extract_stabilizer, macronode_model,
+                              stabilizer_combination, sym_label,
+                              verify_regrouping, verify_relation)
 
 H = math.pi / 2
 
@@ -481,6 +482,10 @@ def test_macronode_model_equals_the_exact_coefficient_oracle():
             assert (got.p, got.q, got.d) == (ref.p, ref.q, ref.d)
 
 
+# The Monte Carlo memory experiment, octorail.memory, from here on.  Its
+# newer tests are in tests/test_memory.py.
+
+
 @given(st.floats(-20, 20, allow_nan=False),
        st.lists(st.floats(-20, 20, allow_nan=False), max_size=6))
 def test_gkp_bin_residual_range(value, more):
@@ -578,7 +583,7 @@ def test_memory_experiment_takes_fixed_width_counts(kind):
     the plain-int runs after them reuse the graphs they cached."""
     cases = [(3, 10.0, 20, 50, 0), (3, 10.0, 30, 50, 1),
              (5, 9.0, 2, 255, 2)]
-    surface._decoding_graph.cache_clear()
+    memory._decoding_graph.cache_clear()
     fixed = [memory_experiment(kind(d), db, kind(r), kind(t), kind(seed))
              for d, db, r, t, seed in cases]
     assert fixed == [memory_experiment(*case) for case in cases]
@@ -666,7 +671,7 @@ def test_flip_weights_equal_the_written_out_sums():
         want = np.maximum(np.log(dens[..., ::2].sum(axis=-1))
                           - np.log(dens[..., 1::2].sum(axis=-1)), 1e-6)
         assert (want > 1e-6).mean() > 0.2
-        assert np.array_equal(surface._flip_weights(residuals, sigma), want)
+        assert np.array_equal(memory._flip_weights(residuals, sigma), want)
 
 
 @pytest.mark.parametrize("flip", ["program", "llr"])
@@ -688,10 +693,10 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     sigma = math.sqrt(2 * delta_sq)  # two hops of delta^2 / 2 per round
     sigma_m = math.sqrt(delta_sq)  # one hop per readout
     n_q = rounds * distance * distance
-    real_bin = surface.gkp_bin
-    real_flip = surface._flip_weights if flip == "program" else _llr_weights
-    real_graph = surface._slice_graph
-    real_paths = surface._slice_paths
+    real_bin = memory.gkp_bin
+    real_flip = memory._flip_weights if flip == "program" else _llr_weights
+    real_graph = memory._slice_graph
+    real_paths = memory._slice_paths
     residuals, calls, rows, slices = [], [], [], []
 
     def spy_bin(value):
@@ -711,13 +716,13 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
         slices.append((len(counts), len(nodes) * graph.shape[0]))
         return real_paths(graph, crossing, nodes, counts)
 
-    monkeypatch.setattr(surface, "gkp_bin", spy_bin)
-    monkeypatch.setattr(surface, "_flip_weights", spy_flip)
-    monkeypatch.setattr(surface, "_slice_graph", spy_graph)
-    monkeypatch.setattr(surface, "_slice_paths", spy_paths)
-    monkeypatch.setattr(surface, "_SLICE_ENTRIES", 1 << 12)
+    monkeypatch.setattr(memory, "gkp_bin", spy_bin)
+    monkeypatch.setattr(memory, "_flip_weights", spy_flip)
+    monkeypatch.setattr(memory, "_slice_graph", spy_graph)
+    monkeypatch.setattr(memory, "_slice_paths", spy_paths)
+    monkeypatch.setattr(memory, "_SLICE_ENTRIES", 1 << 12)
     # only the weights are under test: skip the matching
-    monkeypatch.setattr(surface, "decode_matching", lambda *args: ([], 0))
+    monkeypatch.setattr(memory, "decode_matching", lambda *args: ([], 0))
     memory_experiment(distance, db, rounds, trials, seed)
     (resid,) = residuals
     decoded = [bool(defects) for _, _, defects, _
@@ -727,7 +732,7 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     n_cols = resid.shape[1]
     assert np.array_equal(scale, [sigma] * n_q + [sigma_m] * (n_cols - n_q))
     assert len(slices) > 2 and sum(n for n, _ in slices) == len(rows)
-    assert all(entries <= surface._SLICE_ENTRIES or n == 1
+    assert all(entries <= memory._SLICE_ENTRIES or n == 1
                for n, entries in slices)
     per_trial = iter(np.concatenate([real_flip(r[:n_q], sigma),
                                      real_flip(r[n_q:], sigma_m)])
@@ -740,7 +745,7 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
 def test_memory_experiment_stream_is_continuous_across_blocks(monkeypatch):
     cases = [(3, 11.0, 3, 50, 1), (5, 9.0, 2, 50, 2), (7, 13.0, 1, 50, 3)]
     whole = [memory_experiment(*case) for case in cases]
-    monkeypatch.setattr(surface, "_BLOCK_TRIALS", 7)
+    monkeypatch.setattr(memory, "_BLOCK_TRIALS", 7)
     assert [memory_experiment(*case) for case in cases] == whole
 
 
@@ -751,7 +756,7 @@ def _per_trial_oracle(distance, db, rounds, trials, seed):
     shifts (round by round) first, then its readout shifts.  Yields the
     trial's qubit flips, readout flips, defect node ids (from its syndromes
     and the noiseless final readout) and true cut parity."""
-    stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
+    stabs, adjacency, cut_qubits = memory._rotated_layout(distance)
     n_qubits, n_stabs = distance * distance, len(stabs)
     assert sorted(adjacency) == list(range(n_qubits))
     assert all(len(members) in (2, 4) for members in stabs)
@@ -799,7 +804,7 @@ def test_memory_trials_match_the_per_trial_oracle(monkeypatch, distance,
     returned."""
     db, trials, seed = 12.0, 300, 700 + 10 * distance + rounds
     oracle = list(_per_trial_oracle(distance, db, rounds, trials, seed))
-    real_bin, real_decode = surface.gkp_bin, surface.decode_matching
+    real_bin, real_decode = memory.gkp_bin, memory.decode_matching
     binned, decoded = [], []
 
     def spy_bin(value):
@@ -812,8 +817,8 @@ def test_memory_trials_match_the_per_trial_oracle(monkeypatch, distance,
         decoded.append((list(defects), parity))
         return matched, parity
 
-    monkeypatch.setattr(surface, "gkp_bin", spy_bin)
-    monkeypatch.setattr(surface, "decode_matching", spy_decode)
+    monkeypatch.setattr(memory, "gkp_bin", spy_bin)
+    monkeypatch.setattr(memory, "decode_matching", spy_decode)
     result = memory_experiment(distance, db, rounds, trials, seed)
     # one call per block, each row's qubit columns first
     assert len(binned) == 2
@@ -838,7 +843,7 @@ def _scan_oracle(distance, rounds):
     predecessor walk for the cut parity): the sink's distances must
     reproduce it exactly.  The scan also returns, for each node, the cut
     parities of every anchor that ties for its minimum."""
-    stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
+    stabs, adjacency, cut_qubits = memory._rotated_layout(distance)
     n_stabs, n_qubits = len(stabs), distance * distance
     src, dst, col = [], [], []
     boundary_edges = []
@@ -912,7 +917,7 @@ def _weight_rows(distance, rounds, weights, rng, count=4):
     weight floored to 1e-6 as _flip_weights floors them.  Every path sum of
     either kind is exact in floating point, so a distance does not depend on
     the direction it is summed in."""
-    n_stabs = len(surface._rotated_layout(distance)[0])
+    n_stabs = len(memory._rotated_layout(distance)[0])
     n_cols = rounds * (distance * distance + n_stabs)
     for _ in range(count):
         if weights == "tied":
@@ -955,12 +960,12 @@ def test_boundary_pass_matches_scan_oracle(distance, weights):
     rounds = 2
     layout, edges, oracle = _scan_oracle(distance, rounds)
     n_stabs = len(layout[0])
-    dg = surface._decoding_graph(distance, rounds)
+    dg = memory._decoding_graph(distance, rounds)
     sink = dg.n_nodes - 1
     assert sink == (rounds + 1) * n_stabs
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(distance)):
-        graph = surface._slice_graph(row[None], dg)
+        graph = memory._slice_graph(row[None], dg)
         fresh = _sink_graph(edges, row, dg.n_nodes)
         assert np.array_equal(graph.indices, fresh.indices)
         assert np.array_equal(graph.indptr, fresh.indptr)
@@ -1033,9 +1038,9 @@ def test_component_dp_matches_exhaustive_enumeration(instance):
     want = _exhaustive_optimum(dist, bd)
     if want == math.inf:
         with pytest.raises(ValueError):
-            surface._pair_defects(dist, bd)
+            memory._pair_defects(dist, bd)
         return
-    matches = surface._pair_defects(dist, bd)
+    matches = memory._pair_defects(dist, bd)
     assert sorted(v for m in matches for v in m if v is not None) == list(
         range(len(bd)))
     assert _weight(dist, bd, matches) == want
@@ -1044,16 +1049,16 @@ def test_component_dp_matches_exhaustive_enumeration(instance):
 def _components(dist, bd):
     """The (bd, up) problems that _pair_defects hands to its solvers."""
     seen = []
-    solve = surface._component_dp
+    solve = memory._component_dp
 
     def spy(bd, up):
         seen.append((bd, up))
         return solve(bd, up)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "_component_dp", spy)
-        mp.setattr(surface, "_component_blossom", spy)
-        surface._pair_defects(dist, bd)
+        mp.setattr(memory, "_component_dp", spy)
+        mp.setattr(memory, "_component_blossom", spy)
+        memory._pair_defects(dist, bd)
     return seen
 
 
@@ -1064,8 +1069,8 @@ def test_cap_path_matches_dp_on_the_same_components(instance):
     if _exhaustive_optimum(dist, bd) == math.inf:
         return
     for comp_bd, up in _components(dist, bd):
-        dp = surface._component_dp(comp_bd, up)
-        blossom = surface._component_blossom(comp_bd, up)
+        dp = memory._component_dp(comp_bd, up)
+        blossom = memory._component_blossom(comp_bd, up)
         flat = {(i, j): w for i, partners in enumerate(up)
                 for j, w in partners}
 
@@ -1112,17 +1117,17 @@ def test_small_components_are_solved_as_the_dp_solves_them(instance):
               else [[]])
         try:
             small.append([(nodes[i], None if j is None else nodes[j])
-                          for i, j in surface._component_dp(comp_bd, up)])
+                          for i, j in memory._component_dp(comp_bd, up)])
         except ValueError:
             dp_raises = True
     if dp_raises:
         with pytest.raises(ValueError, match="neither the boundary"):
-            surface._pair_defects(dist, bd)
+            memory._pair_defects(dist, bd)
         return
     if _exhaustive_optimum(dist, bd) == math.inf:
         return  # a larger component has no finite optimum
     assert all(len(comp_bd) > 2 for comp_bd, _ in _components(dist, bd))
-    matches = surface._pair_defects(dist, bd)
+    matches = memory._pair_defects(dist, bd)
     for want in small:
         nodes = {want[0][0]} | {v for _, v in want if v is not None}
         assert [m for m in matches if m[0] in nodes] == want
@@ -1266,9 +1271,9 @@ def test_component_dp_matches_the_set_ordered_dp(component):
         want = _set_ordered_dp(bd, up)
     except ValueError:
         with pytest.raises(ValueError, match="neither the boundary"):
-            surface._component_dp(bd, up)
+            memory._component_dp(bd, up)
         return
-    assert surface._component_dp(bd, up) == want
+    assert memory._component_dp(bd, up) == want
 
 
 @st.composite
@@ -1297,38 +1302,38 @@ def test_small_trials_are_paired_as_the_scan_pairs_them(trial):
         want = _scan_pair_defects(dist, bd)
     except ValueError:
         with pytest.raises(ValueError, match="neither the boundary"):
-            surface._pair_defects(dist, bd)
+            memory._pair_defects(dist, bd)
         return
-    assert surface._pair_defects(dist, bd) == want
+    assert memory._pair_defects(dist, bd) == want
 
 
 def _decoded_trials(distance, db, rounds, count, seed):
     """(defects, distances, boundary distances, crossing bits) of the
     decoded trials of a memory experiment, as decode_matching gets them."""
     calls = []
-    real = surface.decode_matching
+    real = memory.decode_matching
 
     def record(*args):
         calls.append(args)
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "decode_matching", record)
-        surface.memory_experiment(distance, db, rounds, count, seed)
+        mp.setattr(memory, "decode_matching", record)
+        memory.memory_experiment(distance, db, rounds, count, seed)
     return calls
 
 
 def _decode(defects, graph, crossing):
     """decode_matching on one trial's graph, a slice of one trial."""
-    (dist, bd, bits), = surface._slice_paths(
+    (dist, bd, bits), = memory._slice_paths(
         graph, crossing, np.array(defects), [len(defects)])
-    return surface.decode_matching(defects, dist, bd, bits)
+    return memory.decode_matching(defects, dist, bd, bits)
 
 
 def _slice_runs(distance, db, rounds, trials, seed):
     """Every slice of a memory experiment: its weight rows, defects and
     per-trial paths, as the program computed them."""
-    real_graph, real_paths = surface._slice_graph, surface._slice_paths
+    real_graph, real_paths = memory._slice_graph, memory._slice_paths
     runs = []
 
     def spy_graph(weights, dg):
@@ -1341,9 +1346,9 @@ def _slice_runs(distance, db, rounds, trials, seed):
         return paths
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "_slice_graph", spy_graph)
-        mp.setattr(surface, "_slice_paths", spy_paths)
-        surface.memory_experiment(distance, db, rounds, trials, seed)
+        mp.setattr(memory, "_slice_graph", spy_graph)
+        mp.setattr(memory, "_slice_paths", spy_paths)
+        memory.memory_experiment(distance, db, rounds, trials, seed)
     return runs
 
 
@@ -1364,9 +1369,9 @@ def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
     from scipy.sparse.csgraph import dijkstra
 
     if budget == "one trial":
-        monkeypatch.setattr(surface, "_SLICE_ENTRIES", 0)
+        monkeypatch.setattr(memory, "_SLICE_ENTRIES", 0)
     if flip == "llr":
-        monkeypatch.setattr(surface, "_flip_weights", _llr_weights)
+        monkeypatch.setattr(memory, "_flip_weights", _llr_weights)
     rounds = 3
     _, edges, _ = _scan_oracle(distance, rounds)
     boundary_edges = edges[3]
@@ -1414,7 +1419,7 @@ def test_slice_dijkstra_output_stays_within_budget(monkeypatch):
         outputs.append((dist.size, pred.size, graph.shape[0] // n_nodes))
         return dist, pred
 
-    monkeypatch.setattr(surface, "_SLICE_ENTRIES", budget)
+    monkeypatch.setattr(memory, "_SLICE_ENTRIES", budget)
     monkeypatch.setattr(csgraph, "dijkstra", spy)
     assert memory_experiment(*args) == whole
     assert all(size == pred <= budget or trials == 1
@@ -1428,34 +1433,34 @@ def test_cap_path_decodes_as_the_dp_does(monkeypatch):
     """With the cap at 4, every larger component goes to the blossom; its
     matchings weigh what the DP's do on the same trials."""
     trials = _decoded_trials(5, 8.0, 3, 60, 4)
-    want = [(d, b, _weight(d, b, surface._pair_defects(d, b)))
+    want = [(d, b, _weight(d, b, memory._pair_defects(d, b)))
             for _, d, b, _ in trials]
     blossoms = []
-    real = surface._component_blossom
+    real = memory._component_blossom
 
     def blossom(bd, up):
         blossoms.append(len(bd))
         return real(bd, up)
 
-    monkeypatch.setattr(surface, "_DP_CAP", 4)
-    monkeypatch.setattr(surface, "_component_blossom", blossom)
+    monkeypatch.setattr(memory, "_DP_CAP", 4)
+    monkeypatch.setattr(memory, "_component_blossom", blossom)
     for d, b, weight in want:
-        assert _weight(d, b, surface._pair_defects(d, b)) == pytest.approx(
+        assert _weight(d, b, memory._pair_defects(d, b)) == pytest.approx(
             weight, rel=1e-12, abs=0)
     assert len(blossoms) > 20 and min(blossoms) == 5
 
 
-@pytest.mark.parametrize("cap", [surface._DP_CAP, 0],
+@pytest.mark.parametrize("cap", [memory._DP_CAP, 0],
                          ids=["dp", "blossom"])
 def test_unmatched_defect_raises(monkeypatch, cap):
     """A defect that reaches neither the boundary nor a partner leaves its
     component without a finite optimum; both solvers raise instead of
     matching it through a stand-in weight."""
-    monkeypatch.setattr(surface, "_DP_CAP", cap)
+    monkeypatch.setattr(memory, "_DP_CAP", cap)
     rounds, distance = 2, 3
     layout, edges, _ = _scan_oracle(distance, rounds)
     n_stabs = len(layout[0])
-    dg = surface._decoding_graph(distance, rounds)
+    dg = memory._decoding_graph(distance, rounds)
     row = next(_weight_rows(distance, rounds, "random",
                             np.random.default_rng(0), 1))
     keep = np.array(edges[1]) < rounds * n_stabs
@@ -1468,7 +1473,7 @@ def test_unmatched_defect_raises(monkeypatch, cap):
     # components of one or two defects never reach a solver, so a solver
     # sees an unmatchable defect in three that no boundary reaches
     with pytest.raises(ValueError, match="neither the boundary"):
-        surface._pair_defects(1 - np.eye(3), np.full(3, np.inf))
+        memory._pair_defects(1 - np.eye(3), np.full(3, np.inf))
 
 
 @pytest.mark.parametrize("weights", ["random", "tied"])
@@ -1481,7 +1486,7 @@ def test_decoder_matches_brute_force_correction(weights):
     distance, rounds = 3, 1
     layout, edges, _ = _scan_oracle(distance, rounds)
     src, dst, col, boundary_edges = edges
-    dg = surface._decoding_graph(distance, rounds)
+    dg = memory._decoding_graph(distance, rounds)
     n_nodes = dg.n_nodes - 1  # without the sink
     cut_qubits = layout[2]
     # every edge as (node set, weight column, crossing bit)
@@ -1498,7 +1503,7 @@ def test_decoder_matches_brute_force_correction(weights):
     for row in _weight_rows(distance, rounds, weights,
                             np.random.default_rng(11)):
         weight = subsets @ row[[c for _, c, _ in all_edges]]
-        graph = surface._slice_graph(row[None], dg)
+        graph = memory._slice_graph(row[None], dg)
         dist = dijkstra(graph, directed=True)
         for pattern in range(1, 2 ** n_nodes):
             defects = [v for v in range(n_nodes) if pattern >> v & 1]
@@ -1520,11 +1525,11 @@ def test_cut_is_crossed_by_boundary_edges_only(distance):
     boundary qubits of each anchor lie all in the cut or all out of it, so
     the crossing bit is a fixed property of the anchor, whichever of its
     boundary edges is the lightest."""
-    stabs, adjacency, cut_qubits = surface._rotated_layout(distance)
+    stabs, adjacency, cut_qubits = memory._rotated_layout(distance)
     assert len(cut_qubits) == distance
     assert all(len(adjacency[q]) == 1 for q in cut_qubits)
     for rounds in (1, 3):
-        dg = surface._decoding_graph(distance, rounds)
+        dg = memory._decoding_graph(distance, rounds)
         assert dg.cut.tolist() == sorted(cut_qubits)
         in_cut = {}  # anchor node -> cut membership of its boundary qubits
         for layer in range(rounds):
@@ -1544,22 +1549,22 @@ def test_decoding_graph_is_built_once_per_shape(monkeypatch):
     arrays include the member table; after the cache is cleared, repeated
     runs build the layout once, and cold-cache and warm-cache runs give
     equal results."""
-    dg = surface._decoding_graph(5, 3)
-    assert surface._decoding_graph(5, 3) is dg
+    dg = memory._decoding_graph(5, 3)
+    assert memory._decoding_graph(5, 3) is dg
     arrays = [v for v in vars(dg).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 7
     # the member table pads weight-2 stabilizers with the zero column, 25
-    stabs = surface._rotated_layout(5)[0]
+    stabs = memory._rotated_layout(5)[0]
     assert dg.members.tolist() == [list(q) + [25] * (4 - len(q))
                                    for q in stabs]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
     calls = []
-    real = surface._rotated_layout
-    monkeypatch.setattr(surface, "_rotated_layout",
+    real = memory._rotated_layout
+    monkeypatch.setattr(memory, "_rotated_layout",
                         lambda d: calls.append(d) or real(d))
-    surface._decoding_graph.cache_clear()
+    memory._decoding_graph.cache_clear()
     args = (5, 11.0, 3, 300, 2)
     cold = memory_experiment(*args)
     assert [memory_experiment(*args) for _ in range(3)] == [cold] * 3
