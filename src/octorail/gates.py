@@ -19,12 +19,12 @@ derivative in closed form.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .checks import require_int, require_real
 from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO, solve_exact
 from .networks import SplitterNetwork, build_network, x_rows
 from .phasespace import SymplecticMap, make_rotation, make_shear
@@ -41,31 +41,11 @@ class DegenerateMeasurementError(ValueError):
     """theta2 == theta1 (mod pi): the two homodynes are not independent."""
 
 
-def _require_finite(values: dict):
-    """Raise ValueError naming the first entry of ``values`` (parameter
-    name -> number) that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is not finite: {value}")
-
-
-def _require_int(name: str, value, least: int) -> int:
-    """``value`` as a Python int, after checking that it is an integer (a
-    NumPy one counts, a bool does not) and not below ``least``, 0 or 1;
-    ``ValueError`` naming ``name`` otherwise.  Fixed-width NumPy counts
-    would overflow in the products that callers form from them."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        bound = "positive" if least == 1 else "non-negative"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return operator.index(value)
-
-
 def _homodyne_delta(theta1, theta2, **outcomes) -> float:
     """theta2 - theta1 for a pair of homodynes, after checking that every
     argument is finite and that the two homodynes are independent."""
-    _require_finite({"theta1": theta1, "theta2": theta2, **outcomes})
+    for name, value in dict(theta1=theta1, theta2=theta2, **outcomes).items():
+        require_real(name, value)
     delta = theta2 - theta1
     if abs(math.sin(delta)) < 1e-12:
         raise DegenerateMeasurementError("theta2 - theta1 is a multiple of pi")
@@ -163,7 +143,8 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     n = network.n_modes
     if len(angles) != n:
         raise ValueError("angle count must equal detector count")
-    _require_finite({f"angles[{d}]": t for d, t in enumerate(angles)})
+    for d, t in enumerate(angles):
+        require_real(f"angles[{d}]", t)
     if wiring is None:
         wiring = _default_wiring(n)
     wiring = tuple((int(a), int(b)) for a, b in wiring)
@@ -414,6 +395,9 @@ def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
     1e-6 is reported as not reachable (which is not a proof of
     impossibility).
     """
+    arity = require_int("arity", arity, 1)
+    n_starts = require_int("n_starts", n_starts, 0)
+    seed = require_int("seed", seed, 0)
     if arity not in _ARITY_LEVEL:
         raise ValueError("arity must be 1, 2 or 4")
     net = build_network(_ARITY_LEVEL[arity])

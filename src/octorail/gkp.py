@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .gates import _homodyne_delta, _require_int
+from .checks import require_int, require_real
+from .gates import _homodyne_delta
 from .phasespace import (SymplecticMap, identity_map, make_rotation,
                          make_squeeze)
 
@@ -44,9 +44,8 @@ class SqueezingLevel:
     db: float
 
     def __post_init__(self):
-        if not 0 < self.delta_sq < math.inf:
-            raise ValueError("delta_sq must be finite and positive, "
-                             f"got {self.delta_sq}")
+        require_real("delta_sq", self.delta_sq, positive=True)
+        require_real("db", self.db)
         if abs(self.db + 10 * math.log10(self.delta_sq)) > 1e-12:
             raise ValueError("inconsistent delta_sq / db pair")
 
@@ -55,10 +54,10 @@ def db_conversion(value: float, direction: str) -> SqueezingLevel:
     """Convert between the quadrature-variance parameter and decibels,
     db = -10*log10(delta_sq)."""
     if direction == "to-db":
-        if value <= 0:
-            raise ValueError("delta_sq must be positive")
+        require_real("delta_sq", value, positive=True)
         return SqueezingLevel(value, -10 * math.log10(value))
     if direction == "from-db":
+        require_real("db", value)
         return SqueezingLevel(10 ** (-value / 10), value)
     raise ValueError("direction must be 'to-db' or 'from-db'")
 
@@ -106,8 +105,7 @@ def square_encoding() -> Encoding:
 
 
 def rectangular_encoding(alpha: float) -> Encoding:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    require_real("alpha", alpha, positive=True)
     return Encoding("rectangular", make_squeeze(SQRT_PI / alpha), alpha)
 
 
@@ -358,18 +356,9 @@ def qunaught_amplitude(x, delta_sq: float):
     return out.reshape(x.shape)
 
 
-def _check_delta_sq(delta_sq) -> None:
-    """``ValueError`` unless ``delta_sq`` is a real number (not a bool),
-    finite and positive."""
-    if (isinstance(delta_sq, bool) or not isinstance(delta_sq, numbers.Real)
-            or not 0 < delta_sq < math.inf):
-        raise ValueError("delta_sq must be finite and positive, "
-                         f"got {delta_sq!r}")
-
-
 def make_qunaught(delta_sq: float, grid: Grid | None = None) -> GridWavefunction:
     """Normalized damped qunaught state on the grid."""
-    _check_delta_sq(delta_sq)
+    require_real("delta_sq", delta_sq, positive=True)
     grid = grid or default_grid()
     peak_std = math.sqrt(math.tanh(math.asinh(delta_sq)))
     if grid.dx > peak_std:
@@ -383,11 +372,9 @@ def make_gaussian_wavepacket(grid: Grid, x0: float = 0.0, p0: float = 0.0,
                              variance: float = 0.5) -> GridWavefunction:
     """Normalized Gaussian wavepacket; the default variance 1/2 is the
     vacuum state."""
-    for name, value in (("x0", x0), ("p0", p0), ("variance", variance)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if variance <= 0:
-        raise ValueError("variance must be positive")
+    require_real("x0", x0)
+    require_real("p0", p0)
+    require_real("variance", variance, positive=True)
     axis = grid.axis
     amp = np.exp(-(axis - x0) ** 2 / (4 * variance) + 1j * p0 * axis)
     return GridWavefunction(grid, amp).normalized()
@@ -521,9 +508,9 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
     ``ValueError`` unless ``delta_sq`` is finite and positive and ``seed``
     is None or a non-negative integer.
     """
-    _check_delta_sq(delta_sq)
+    require_real("delta_sq", delta_sq, positive=True)
     if seed is not None:
-        seed = _require_int("seed", seed, 0)
+        seed = require_int("seed", seed, 0)
     grid = input_wf.grid
     axis = grid.axis
     s2 = math.sqrt(2)
@@ -613,7 +600,7 @@ def _probe_kernels(delta_sq: float, grid: Grid):
     against its own spikes only: 7 and 6 of the 193 points on the default
     grid.
     """
-    _check_delta_sq(delta_sq)
+    require_real("delta_sq", delta_sq, positive=True)
     table = qunaught_amplitude(_half_step_points(grid), delta_sq)
     beta = math.asinh(delta_sq)
     axis = grid.axis
@@ -713,8 +700,8 @@ def heterodyne_magic_probe(delta_sq: float, samples: int,
     gives for its alpha.  NumPy integer counts are used, and echoed, as
     Python ints.
     """
-    samples = _require_int("samples", samples, 1)
-    seed = _require_int("seed", seed, 0)
+    samples = require_int("samples", samples, 1)
+    seed = require_int("seed", seed, 0)
     grid = grid or default_grid()
     kernels = _probe_kernels(delta_sq, grid)
     rng = np.random.default_rng(seed)

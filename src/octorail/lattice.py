@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .checks import require_int
+
 PLAIN_BELL = "plain-bell"
 HADAMARD_BELL = "hadamard-bell"
 INTERNAL = "internal"
@@ -26,14 +28,10 @@ class LatticeSpec:
     edge_flavor: str = PLAIN_BELL
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        require_int("n", self.n, 1)
+        require_int("m", self.m, 1)
+        require_int("k", self.k, 0)
+        require_int("horizon", self.horizon, 1)
         if self.edge_flavor not in (PLAIN_BELL, HADAMARD_BELL):
             raise ValueError("unknown edge flavor")
 

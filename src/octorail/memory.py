@@ -13,13 +13,12 @@ the noise model.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gates import _require_int
+from .checks import require_int, require_real
 from .gkp import SQRT_PI
 
 # --------------------------------------------------------------------------
@@ -41,11 +40,7 @@ class NoiseModel:
         teleportation hop adds a shift of variance 2 * (delta^2 / 2); a data
         qubit takes two hops per round, a readout one.  ``ValueError``
         unless the level is a finite real number above 0 dB."""
-        if (isinstance(squeezing_db, bool)
-                or not isinstance(squeezing_db, numbers.Real)
-                or not (math.isfinite(squeezing_db) and squeezing_db > 0)):
-            raise ValueError(f"squeezing_db must be a finite level above "
-                             f"0 dB, got {squeezing_db!r}")
+        require_real("squeezing_db", squeezing_db, positive=True)
         delta_sq = 10 ** (-squeezing_db / 10)
         return cls(math.sqrt(2 * (delta_sq / 2) * 2),  # two hops per round
                    math.sqrt(2 * (delta_sq / 2)))  # one hop per readout
@@ -371,9 +366,9 @@ class MemoryResult:
 
 def wilson_interval(failures: int, trials: int):
     """95 % Wilson score interval of a failure rate."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not 0 <= failures <= trials:
+    failures = require_int("failures", failures, 0)
+    trials = require_int("trials", trials, 1)
+    if failures > trials:
         raise ValueError(f"failures must lie in [0, {trials}], "
                          f"got {failures}")
     z = 1.96
@@ -634,12 +629,12 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     7, rounds and trials are positive integers, the seed is a non-negative
     one and the level is finite and above 0 dB.
     """
-    distance = _require_int("distance", distance, 1)
+    distance = require_int("distance", distance, 1)
     if distance not in (3, 5, 7):
         raise ValueError("distance must be 3, 5 or 7")
-    rounds = _require_int("rounds", rounds, 1)
-    trials = _require_int("trials", trials, 1)
-    seed = _require_int("seed", seed, 0)
+    rounds = require_int("rounds", rounds, 1)
+    trials = require_int("trials", trials, 1)
+    seed = require_int("seed", seed, 0)
     noise = NoiseModel.from_db(squeezing_db)
 
     dg = _decoding_graph(distance, rounds)

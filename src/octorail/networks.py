@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import require_int
 from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO
 
 LAYER_TAGS = {0: "DRL", 1: "QRL", 2: "ORL"}
@@ -45,8 +46,7 @@ class SplitterNetwork:
 
 
 def build_network(level: int) -> SplitterNetwork:
-    if level < 0:
-        raise ValueError("level must be nonnegative")
+    level = require_int("level", level, 0)
     n_modes = 2 ** (level + 1)
     layers = []
     tags = []

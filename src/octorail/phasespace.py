@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_real
+
 ATOL = 1e-12
 
 
@@ -92,15 +94,9 @@ class HomodyneOutcome:
 
 def _embed(local: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarray:
     """Embed a single/two-mode block (ordered x.., p..) into n_modes."""
-    k = len(modes)
     full = np.eye(2 * n_modes)
-    idx = [m for m in modes] + [m + n_modes for m in modes]
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            full[ia, ib] = local[a, b]
-        for ib in range(2 * n_modes):
-            if ib not in idx:
-                full[ia, ib] = 0.0
+    idx = [*modes, *(m + n_modes for m in modes)]
+    full[np.ix_(idx, idx)] = local
     return full
 
 
@@ -110,6 +106,7 @@ def identity_map(n_modes: int = 1) -> SymplecticMap:
 
 def make_rotation(theta: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Rotation pinned so the x-row gives x_theta = x cos(theta) + p sin(theta)."""
+    require_real("theta", theta)
     if not 0 <= mode < n_modes:
         raise ValueError("mode out of range")
     c, s = math.cos(theta), math.sin(theta)
@@ -119,8 +116,7 @@ def make_rotation(theta: float, mode: int = 0, n_modes: int = 1) -> SymplecticMa
 
 def make_squeeze(t: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Squeeze x -> t*x, p -> p/t."""
-    if t <= 0:
-        raise ValueError("squeeze parameter must be positive")
+    require_real("t", t, positive=True)
     if not 0 <= mode < n_modes:
         raise ValueError("mode out of range")
     local = np.array([[t, 0.0], [0.0, 1.0 / t]])
@@ -129,6 +125,7 @@ def make_squeeze(t: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
 
 def make_shear(sigma: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Shear x -> x, p -> p + sigma*x."""
+    require_real("sigma", sigma)
     if not 0 <= mode < n_modes:
         raise ValueError("mode out of range")
     local = np.array([[1.0, 0.0], [sigma, 1.0]])
@@ -143,6 +140,7 @@ def make_beamsplitter(phi: float, mode_j: int, mode_k: int,
     orientation is the one that composes to the published eight-mode network
     matrix.
     """
+    require_real("phi", phi)
     if mode_j == mode_k:
         raise ValueError("beamsplitter modes must differ")
     if not (0 <= mode_j < n_modes and 0 <= mode_k < n_modes):
@@ -171,6 +169,7 @@ def shear_decomposition(sigma: float) -> tuple[float, float, float]:
 def make_cz(g: float, mode_j: int = 0, mode_k: int = 1,
             n_modes: int = 2) -> SymplecticMap:
     """Controlled-Z: x unchanged, p_j += g*x_k, p_k += g*x_j."""
+    require_real("g", g)
     if mode_j == mode_k:
         raise ValueError("modes must differ")
     m = np.eye(2 * n_modes)

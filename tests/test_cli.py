@@ -273,7 +273,7 @@ def test_gkp_angles_rejects_non_finite_angles(capsys, theta):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: theta1 is not finite: {float(theta)}\n"
+    assert err == f"error: theta1 must be finite, got {float(theta)}\n"
 
 
 def test_gkp_magic_probe_csv(runner, tmp_path):
@@ -305,8 +305,8 @@ def test_surface_memory_rejects_unsqueezed_level(capsys, db):
         main(["surface", "memory", "--db", db, "--trials", "5"])
     assert exc.value.code != 0
     err = capsys.readouterr().err
-    assert err.startswith("error: squeezing_db must be a finite level above "
-                          "0 dB")
+    assert err.startswith("error: squeezing_db must be finite and positive, "
+                          "got ")
 
 
 def test_surface_memory_rejects_negative_seed(capsys):
@@ -356,7 +356,8 @@ def test_lattice_export_rejects_m_zero(capsys, tmp_path):
         main(["lattice", "export", "--m", "0",
               "--json", str(tmp_path / "g.json")])
     assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith("error: m must be >= 1")
+    assert capsys.readouterr().err.startswith(
+        "error: m must be positive, got 0")
 
 
 def test_error_is_single_line(capsys):
@@ -366,7 +367,31 @@ def test_error_is_single_line(capsys):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: n must be >= 1, got 0\n"
+    assert err == "error: n must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("config, command, message", [
+    ({"n": 4.5}, ["lattice", "export", "--json", "g.json"],
+     "n must be an integer, got 4.5"),
+    ({"level": True}, ["network", "dump"],
+     "level must be an integer, got True"),
+    ({"arity": True}, ["gates", "solve", "--target", "identity"],
+     "arity must be an integer, got True"),
+    ({"db": "13"}, ["gkp", "perror"], "db must be finite, got '13'"),
+])
+def test_config_values_reach_the_checks_unconverted(capsys, tmp_path,
+                                                    monkeypatch, config,
+                                                    command, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *command])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_suite_has_enough_identities():

@@ -6,12 +6,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from octorail.checks import require_int
 from octorail.exact import ExactMatrix, solve_exact
 from octorail.gates import (_EIGHTH, FOURIER, DegenerateMeasurementError,
                             GATE_TABLES, NonImplementableGateError,
                             _eighth_multiple, _float_x_block,
                             _gate_residuals, _levenberg_marquardt,
-                            _require_int,
                             displacement_mu, induced_gate, solve_angles,
                             teleported_gate_v, verify_gate_tables)
 from octorail.networks import build_network, x_rows
@@ -112,6 +112,21 @@ def test_solve_angles_rejects_non_finite_target():
     target = SymplecticMap(1, [[1.0, 0.0], [math.nan, 1.0]])
     with pytest.raises(ValueError, match="target matrix is not finite"):
         solve_angles(target, 1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"arity": True}, "arity must be an integer, got True"),
+    ({"arity": 1.0}, "arity must be an integer, got 1.0"),
+    ({"arity": 0}, "arity must be positive, got 0"),
+    ({"n_starts": 2.5}, "n_starts must be an integer, got 2.5"),
+    ({"n_starts": -1}, "n_starts must be non-negative, got -1"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"seed": True}, "seed must be an integer, got True"),
+])
+def test_solve_angles_checks_its_counts_first(kwargs, message):
+    args = {"target": FOURIER, "arity": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_angles(**args)
 
 
 @pytest.mark.parametrize("target,arity", [
@@ -542,9 +557,9 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_teleported_gate_v_rejects_non_finite_angles(bad):
-    with pytest.raises(ValueError, match="^theta1 is not finite"):
+    with pytest.raises(ValueError, match="^theta1 must be finite, got "):
         teleported_gate_v(bad, 1.0)
-    with pytest.raises(ValueError, match="^theta2 is not finite"):
+    with pytest.raises(ValueError, match="^theta2 must be finite, got "):
         teleported_gate_v(1.0, bad)
 
 
@@ -554,16 +569,16 @@ def test_displacement_mu_rejects_non_finite_parameters(bad):
                        ("m2", (1.0, bad, 0.0, 1.0)),
                        ("theta1", (1.0, 1.0, bad, 1.0)),
                        ("theta2", (1.0, 1.0, 0.0, bad))):
-        with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             displacement_mu(*args)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_induced_gate_names_the_non_finite_angle(bad):
     with pytest.raises(ValueError,
-                       match=rf"^angles\[0\] is not finite: {bad}$"):
+                       match=rf"^angles\[0\] must be finite, got {bad}$"):
         induced_gate(build_network(0), [bad, 1.0])
-    with pytest.raises(ValueError, match=r"^angles\[2\] is not finite"):
+    with pytest.raises(ValueError, match=r"^angles\[2\] must be finite, got "):
         induced_gate(build_network(1), [0.0, 1.0, bad, math.pi / 4])
 
 
@@ -583,17 +598,17 @@ def test_huge_angles_are_reduced_before_the_eighth_test(angles):
 
 
 def test_require_int_checks_once_for_every_caller():
-    assert _require_int("n", np.uint8(200), 1) == 200
-    assert type(_require_int("n", np.int16(3), 0)) is int
-    assert _require_int("seed", 0, 0) == 0
+    assert require_int("n", np.uint8(200), 1) == 200
+    assert type(require_int("n", np.int16(3), 0)) is int
+    assert require_int("seed", 0, 0) == 0
     for bad in (True, 2.0, "3", None):
         with pytest.raises(ValueError, match="^n must be an integer, got "):
-            _require_int("n", bad, 0)
+            require_int("n", bad, 0)
     with pytest.raises(ValueError, match="^n must be positive, got 0$"):
-        _require_int("n", 0, 1)
+        require_int("n", 0, 1)
     with pytest.raises(ValueError,
                        match="^seed must be non-negative, got -2$"):
-        _require_int("seed", np.int64(-2), 0)
+        require_int("seed", np.int64(-2), 0)
 
 
 def test_degenerate_angles_still_raise_their_own_error():

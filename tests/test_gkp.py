@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from octorail.gates import (FOURIER, DegenerateMeasurementError,
                             teleported_gate_v)
 from octorail.gkp import (QUNAUGHT_SPACING, SQRT_PI, Encoding, Grid,
-                          GridWavefunction, code_projection, custom_encoding,
+                          GridWavefunction, SqueezingLevel, code_projection,
+                          custom_encoding,
                           db_conversion, decompose_rpr, default_grid,
                           fidelity, fine_grid, fourier_wavefunction,
                           heterodyne_magic_probe,
@@ -59,6 +60,29 @@ def test_db_conversion_errors():
         db_conversion(-1.0, "to-db")
     with pytest.raises(ValueError):
         db_conversion(0.1, "sideways")
+
+
+_NOT_FINITE_OR_BOOL = [math.nan, math.inf, -math.inf, True]
+_BAD_IDS = ["nan", "inf", "-inf", "True"]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE_OR_BOOL, ids=_BAD_IDS)
+def test_db_conversion_rejects_a_bad_value(bad):
+    with pytest.raises(ValueError, match="^delta_sq must be finite and "
+                                         f"positive, got {bad!r}$"):
+        db_conversion(bad, "to-db")
+    with pytest.raises(ValueError, match=f"^db must be finite, got {bad!r}$"):
+        db_conversion(bad, "from-db")
+    with pytest.raises(ValueError, match=f"^db must be finite, got {bad!r}$"):
+        SqueezingLevel(0.1, bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE_OR_BOOL + [0.0, -1.3],
+                         ids=_BAD_IDS + ["0", "negative"])
+def test_rectangular_encoding_rejects_a_bad_alpha(bad):
+    with pytest.raises(ValueError, match="^alpha must be finite and "
+                                         f"positive, got {bad!r}$"):
+        rectangular_encoding(bad)
 
 
 def test_p_error_value():
@@ -177,9 +201,10 @@ def test_degenerate_angles_raise():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 def test_transform_angles_rejects_non_finite_angles(bad):
-    with pytest.raises(ValueError, match=f"^theta1 is not finite: {bad}$"):
+    with pytest.raises(ValueError,
+                       match=f"^theta1 must be finite, got {bad}$"):
         transform_angles(bad, 1.0, square_encoding())
-    with pytest.raises(ValueError, match="^theta2 is not finite"):
+    with pytest.raises(ValueError, match="^theta2 must be finite, got "):
         transform_angles(1.0, bad, hexagonal_encoding())
 
 

@@ -62,8 +62,19 @@ def test_delays():
     (4, 4, -1, 40, "k"),  # used to give a negative axis-4 delay
 ])
 def test_spec_rejects_sizes_it_cannot_build(n, m, k, horizon, name):
-    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+    bound = "non-negative" if name == "k" else "positive"
+    with pytest.raises(ValueError, match=f"^{name} must be {bound}, got "):
         LatticeSpec(n, m, k, horizon)
+
+
+@pytest.mark.parametrize("field", ["n", "m", "k", "horizon"])
+@pytest.mark.parametrize("bad", [4.5, True, "4"])
+def test_spec_rejects_sizes_that_are_not_integers(field, bad):
+    """A JSON config passes its values on unconverted."""
+    sizes = {"n": 4, "m": 4, "k": 0, "horizon": 8, field: bad}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        LatticeSpec(**sizes)
 
 
 def test_rhg_split_degree_pattern():

@@ -31,7 +31,8 @@ def test_noise_model_from_db(db):
 
 @pytest.mark.parametrize("db", [0.0, -3.0, math.nan, math.inf, True, "7"])
 def test_noise_model_rejects_bad_levels(db):
-    with pytest.raises(ValueError, match="squeezing_db must be a finite"):
+    with pytest.raises(ValueError,
+                       match="squeezing_db must be finite and positive, got "):
         NoiseModel.from_db(db)
 
 

@@ -20,6 +20,17 @@ def test_level_structure():
             assert len(layer) == n_modes // 2
 
 
+@pytest.mark.parametrize("level, message", [
+    (True, "level must be an integer, got True"),
+    (1.5, "level must be an integer, got 1.5"),
+    ("2", "level must be an integer, got '2'"),
+    (-1, "level must be non-negative, got -1"),
+])
+def test_build_network_rejects_a_bad_level(level, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_network(level)
+
+
 def test_eight_mode_transfer_matrix_rows():
     report = verify_eightsplitter()
     assert [r["pass"] for r in report] == [True] * 8

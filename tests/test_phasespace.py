@@ -9,6 +9,7 @@ from octorail.phasespace import (GaussianState, SymplecticMap, apply,
                                  identity_map, make_beamsplitter, make_cz,
                                  make_rotation, make_shear, make_squeeze,
                                  omega, shear_decomposition)
+from octorail.phasespace import _embed
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 shears = st.floats(-5, 5, allow_nan=False)
@@ -69,6 +70,22 @@ def test_cz():
     assert make_cz(1.0).is_symplectic()
 
 
+@pytest.mark.parametrize("make, name, positive", [
+    (make_rotation, "theta", False),
+    (make_squeeze, "t", True),
+    (make_shear, "sigma", False),
+    (lambda v: make_beamsplitter(v, 0, 1), "phi", False),
+    (make_cz, "g", False),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True],
+                         ids=["nan", "inf", "-inf", "True"])
+def test_constructors_reject_a_bad_parameter(make, name, positive, bad):
+    condition = "finite and positive" if positive else "finite"
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be {condition}, got {bad!r}$"):
+        make(bad)
+
+
 def test_vacuum_physical():
     vac = GaussianState.vacuum(2)
     assert vac.is_physical()
@@ -109,3 +126,20 @@ def test_symplectic_form_invariance():
 
 def test_identity_map():
     assert np.array_equal(identity_map(3).matrix, np.eye(6))
+
+
+def test_embed_places_the_block_in_the_identity():
+    """Rows and columns of the embedded modes hold the block, in the order
+    the modes are given; the rest is the identity."""
+    rng = np.random.default_rng(3)
+    for modes, n_modes in (((0,), 1), ((2,), 4), ((1, 3), 4), ((3, 0), 5)):
+        k = len(modes)
+        local = rng.normal(size=(2 * k, 2 * k))
+        idx = list(modes) + [m + n_modes for m in modes]
+        want = np.eye(2 * n_modes)
+        for ia in idx:
+            want[ia] = want[:, ia] = 0.0
+        for a, ia in enumerate(idx):
+            for b, ib in enumerate(idx):
+                want[ia, ib] = local[a, b]
+        assert np.array_equal(_embed(local, modes, n_modes), want)

@@ -521,7 +521,8 @@ def test_wilson_interval_contains_estimate():
 
 
 @pytest.mark.parametrize("failures, trials", [(1, -4), (0, 0), (3, 2),
-                                              (-1, 5)])
+                                              (-1, 5), (1.5, 3), (True, 3),
+                                              (1, 3.0), (0, True)])
 def test_wilson_interval_rejects_impossible_counts(failures, trials):
     with pytest.raises(ValueError, match="failures|trials"):
         wilson_interval(failures, trials)
