@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from . import gates, gkp, memory, networks, permutations, surface
+from .checks import require_int
 from .lattice import LatticeSpec, build_lattice, surface_layout
 from .phasespace import SymplecticMap
 
@@ -279,7 +280,7 @@ _NAMED_TARGETS = {
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.pass_context
 def gates_solve(ctx, target, arity, param, seed, json_path):
-    arity = _cfg(ctx, "arity", arity, 1)
+    arity = require_int("arity", _cfg(ctx, "arity", arity, 1), 1)
     param = _cfg(ctx, "param", param, -1.0)
     seed = _cfg(ctx, "seed", seed, 0)
     if target in ("swap", "cz") and arity < 2:

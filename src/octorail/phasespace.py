@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import require_real
+from .checks import require_int, require_real
 
 ATOL = 1e-12
 
@@ -100,6 +100,15 @@ def _embed(local: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarra
     return full
 
 
+def _require_modes(n_modes, **modes) -> None:
+    """``ValueError`` unless ``n_modes`` is a positive integer and each of
+    ``modes`` an integer in [0, n_modes)."""
+    require_int("n_modes", n_modes, 1)
+    for name, mode in modes.items():
+        if require_int(name, mode, 0) >= n_modes:
+            raise ValueError(f"{name} must be below {n_modes}, got {mode}")
+
+
 def identity_map(n_modes: int = 1) -> SymplecticMap:
     return SymplecticMap(n_modes, np.eye(2 * n_modes))
 
@@ -107,8 +116,7 @@ def identity_map(n_modes: int = 1) -> SymplecticMap:
 def make_rotation(theta: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Rotation pinned so the x-row gives x_theta = x cos(theta) + p sin(theta)."""
     require_real("theta", theta)
-    if not 0 <= mode < n_modes:
-        raise ValueError("mode out of range")
+    _require_modes(n_modes, mode=mode)
     c, s = math.cos(theta), math.sin(theta)
     local = np.array([[c, s], [-s, c]])
     return SymplecticMap(n_modes, _embed(local, (mode,), n_modes))
@@ -117,8 +125,7 @@ def make_rotation(theta: float, mode: int = 0, n_modes: int = 1) -> SymplecticMa
 def make_squeeze(t: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Squeeze x -> t*x, p -> p/t."""
     require_real("t", t, positive=True)
-    if not 0 <= mode < n_modes:
-        raise ValueError("mode out of range")
+    _require_modes(n_modes, mode=mode)
     local = np.array([[t, 0.0], [0.0, 1.0 / t]])
     return SymplecticMap(n_modes, _embed(local, (mode,), n_modes))
 
@@ -126,8 +133,7 @@ def make_squeeze(t: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
 def make_shear(sigma: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:
     """Shear x -> x, p -> p + sigma*x."""
     require_real("sigma", sigma)
-    if not 0 <= mode < n_modes:
-        raise ValueError("mode out of range")
+    _require_modes(n_modes, mode=mode)
     local = np.array([[1.0, 0.0], [sigma, 1.0]])
     return SymplecticMap(n_modes, _embed(local, (mode,), n_modes))
 
@@ -141,10 +147,9 @@ def make_beamsplitter(phi: float, mode_j: int, mode_k: int,
     matrix.
     """
     require_real("phi", phi)
+    _require_modes(n_modes, mode_j=mode_j, mode_k=mode_k)
     if mode_j == mode_k:
         raise ValueError("beamsplitter modes must differ")
-    if not (0 <= mode_j < n_modes and 0 <= mode_k < n_modes):
-        raise ValueError("mode out of range")
     c, s = math.cos(phi), math.sin(phi)
     block = np.array([[c, -s], [s, c]])
     local = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
@@ -170,6 +175,7 @@ def make_cz(g: float, mode_j: int = 0, mode_k: int = 1,
             n_modes: int = 2) -> SymplecticMap:
     """Controlled-Z: x unchanged, p_j += g*x_k, p_k += g*x_j."""
     require_real("g", g)
+    _require_modes(n_modes, mode_j=mode_j, mode_k=mode_k)
     if mode_j == mode_k:
         raise ValueError("modes must differ")
     m = np.eye(2 * n_modes)
@@ -200,8 +206,7 @@ def homodyne_condition(state: GaussianState, mode: int, angle: float,
     ``rng_or_value`` is either a numpy Generator (outcome sampled from the
     marginal) or a float (outcome forced, for deterministic tests).
     """
-    if not 0 <= mode < state.n_modes:
-        raise ValueError("mode out of range")
+    _require_modes(state.n_modes, mode=mode)
     n = state.n_modes
     rotated = apply(make_rotation(angle, mode, n), state)
     mu, cov = rotated.mean, rotated.covariance

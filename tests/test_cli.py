@@ -1,13 +1,11 @@
 import json
 import math
-from pathlib import Path
 
+import golden
 import pytest
 from click.testing import CliRunner
 
 from octorail.cli import cli, main, run_verification_suites
-
-DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -47,17 +45,15 @@ def test_verify_all_json_file(runner, tmp_path):
 
 
 def test_verify_all_times_every_entry_and_keeps_the_recorded_report(runner):
-    # tests/data/verify_all.json is the report recorded before entries were
-    # timed; with ``seconds`` removed the output is byte for byte the same
+    # the report was recorded before entries were timed; with ``seconds``
+    # removed it is byte for byte the same
     result = runner.invoke(cli, ["verify-all"])
     assert result.exit_code == 0
-    doc = json.loads(result.output)
-    for entry in doc["identities"]:
-        seconds = entry.pop("seconds")
+    for entry in json.loads(result.output)["identities"]:
+        seconds = entry["seconds"]
         assert type(seconds) is float and math.isfinite(seconds)
         assert seconds >= 0
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert text == (DATA / "verify_all.json").read_text()
+    assert golden.difference("verify_all") is None
 
 
 def test_network_dump(runner):
@@ -91,26 +87,15 @@ def test_gates_solve_rejects_non_finite_param(capsys):
                    "[[1.0, 0.0], [nan, 1.0]]\n")
 
 
-def test_gates_verify_json_is_the_recorded_report(runner, tmp_path):
-    # tests/data/gates_verify.json and tests/data/gates_solve/ were recorded
+def test_gates_verify_json_is_the_recorded_report():
+    # the gate-table report and the gates_solve/ solutions were recorded
     # before the detector system took the output quadratures as unknowns
-    path = tmp_path / "gates_verify.json"
-    result = runner.invoke(cli, ["gates", "verify", "--json", str(path)])
-    assert result.exit_code == 0
-    assert path.read_bytes() == (DATA / "gates_verify.json").read_bytes()
+    assert golden.difference("gates_verify") is None
 
 
-@pytest.mark.parametrize("target,arity", [
-    ("identity", 1), ("fourier", 1), ("shear", 1), ("shear", 2), ("cz", 2),
-    ("swap", 2), ("fourier", 4), ("cz", 4), ("swap", 4)])
-def test_gates_solve_json_is_the_recorded_solution(runner, tmp_path, target,
-                                                   arity):
-    path = tmp_path / "solve.json"
-    result = runner.invoke(cli, ["gates", "solve", "--target", target,
-                                 "--arity", str(arity), "--json", str(path)])
-    assert result.exit_code == 0
-    want = DATA / "gates_solve" / f"{target}-{arity}.json"
-    assert path.read_bytes() == want.read_bytes()
+@pytest.mark.parametrize("target,arity", golden.GATES_SOLVED)
+def test_gates_solve_json_is_the_recorded_solution(target, arity):
+    assert golden.difference(f"gates_solve/{target}-{arity}") is None
 
 
 def test_gkp_magic_probe_rejects_nan_level(capsys):
@@ -146,11 +131,8 @@ def test_perms_check(runner):
     assert not json.loads(result.output)["allowed"]
 
 
-def test_perms_cosets_csv_is_the_recorded_table(runner, tmp_path):
-    path = tmp_path / "cosets.csv"
-    result = runner.invoke(cli, ["perms", "cosets", "--csv", str(path)])
-    assert result.exit_code == 0
-    assert path.read_bytes() == (DATA / "perms_cosets.csv").read_bytes()
+def test_perms_cosets_csv_is_the_recorded_table():
+    assert golden.difference("perms_cosets") is None
 
 
 @pytest.mark.parametrize("perm", ["(12)junk", "12)(34)", "(1a2)"])
@@ -378,6 +360,12 @@ def test_error_is_single_line(capsys):
     ({"arity": True}, ["gates", "solve", "--target", "identity"],
      "arity must be an integer, got True"),
     ({"db": "13"}, ["gkp", "perror"], "db must be finite, got '13'"),
+    ({"arity": "2"}, ["gates", "solve", "--target", "identity"],
+     "arity must be an integer, got '2'"),
+    ({"arity": "2"}, ["gates", "solve", "--target", "cz"],
+     "arity must be an integer, got '2'"),
+    ({"arity": 2.5}, ["gates", "solve", "--target", "identity"],
+     "arity must be an integer, got 2.5"),
 ])
 def test_config_values_reach_the_checks_unconverted(capsys, tmp_path,
                                                     monkeypatch, config,

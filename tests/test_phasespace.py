@@ -86,6 +86,32 @@ def test_constructors_reject_a_bad_parameter(make, name, positive, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda mode: make_rotation(0.3, mode, 2), "mode"),
+    (lambda mode: make_squeeze(2.0, mode, 2), "mode"),
+    (lambda mode: make_shear(0.3, mode, 2), "mode"),
+    (lambda mode: make_beamsplitter(0.3, mode, 0, 2), "mode_j"),
+    (lambda mode: make_cz(1.0, 0, mode, 2), "mode_k"),
+    (lambda mode: homodyne_condition(GaussianState.vacuum(2), mode, 0.3, 0.0),
+     "mode"),
+], ids=["rotation", "squeeze", "shear", "beamsplitter", "cz", "homodyne"])
+@pytest.mark.parametrize("bad, condition", [
+    (True, "an integer"), (0.5, "an integer"), (-1, "non-negative"),
+    (2, "below 2")], ids=["True", "0.5", "-1", "n_modes"])
+def test_constructors_reject_a_bad_mode(make, name, bad, condition):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be {condition}, got {bad!r}$"):
+        make(bad)
+
+
+@pytest.mark.parametrize("n_modes, condition", [(0, "positive"),
+                                                (1.5, "an integer")])
+def test_constructors_reject_a_bad_mode_count(n_modes, condition):
+    with pytest.raises(ValueError,
+                       match=f"^n_modes must be {condition}, got {n_modes}$"):
+        make_rotation(0.3, 0, n_modes)
+
+
 def test_vacuum_physical():
     vac = GaussianState.vacuum(2)
     assert vac.is_physical()
