@@ -236,6 +236,7 @@ def heterodyne_condition(state: GaussianState, mode: int,
                          ) -> tuple[HomodyneOutcome, HomodyneOutcome, GaussianState]:
     """Split the mode on a balanced beamsplitter with fresh vacuum and
     homodyne the two outputs at the given pair of angles."""
+    _require_modes(state.n_modes, mode=mode)
     n = state.n_modes
     # append a vacuum mode
     mu = np.zeros(2 * (n + 1))

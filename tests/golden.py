@@ -126,7 +126,8 @@ def main(argv):
                  "...\nnames: " + " ".join(GOLDENS))
     differ = 0
     for name in names or GOLDENS:
-        path, produce = DATA / GOLDENS[name][0], GOLDENS[name][1]
+        file, produce = GOLDENS[name]
+        path = DATA / file
         recorded, now = path.read_text() if path.exists() else "", produce()
         if record:
             path.write_text(now)

@@ -94,7 +94,10 @@ def test_constructors_reject_a_bad_parameter(make, name, positive, bad):
     (lambda mode: make_cz(1.0, 0, mode, 2), "mode_k"),
     (lambda mode: homodyne_condition(GaussianState.vacuum(2), mode, 0.3, 0.0),
      "mode"),
-], ids=["rotation", "squeeze", "shear", "beamsplitter", "cz", "homodyne"])
+    (lambda mode: heterodyne_condition(GaussianState.vacuum(2), mode,
+                                       rng_or_values=(0.0, 0.0)), "mode"),
+], ids=["rotation", "squeeze", "shear", "beamsplitter", "cz", "homodyne",
+        "heterodyne"])
 @pytest.mark.parametrize("bad, condition", [
     (True, "an integer"), (0.5, "an integer"), (-1, "non-negative"),
     (2, "below 2")], ids=["True", "0.5", "-1", "n_modes"])
