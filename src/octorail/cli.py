@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import gates, gkp, memory, networks, permutations, surface
-from .checks import require_int
+from .checks import require_int, require_real
 from .lattice import LatticeSpec, build_lattice, surface_layout
 from .phasespace import SymplecticMap
 
@@ -285,6 +285,7 @@ def gates_solve(ctx, target, arity, param, seed, json_path):
     seed = _cfg(ctx, "seed", seed, 0)
     if target in ("swap", "cz") and arity < 2:
         raise click.ClickException(f"{target} needs arity >= 2")
+    require_real("param", param)
     matrix = _NAMED_TARGETS[target](arity, param)
     sol = gates.solve_angles(SymplecticMap(arity, matrix), arity, seed=seed)
     _echo_json({"target": target, "arity": arity, "param": param,

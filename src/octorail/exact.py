@@ -81,10 +81,6 @@ class ExactCoeff:
             return (2 * numer, 1)
         return (numer, k)
 
-    def split(self):
-        """(a, b) as rational ExactCoeffs, with self = a + b*sqrt2."""
-        return _new(self.p, 0, self.d), _new(self.q, 0, self.d)
-
     # -- field operations -------------------------------------------------
 
     def _coerce(self, other):

@@ -43,8 +43,7 @@ class LatticeSpec:
 
 
 def index_to_coords(j: int, spec: LatticeSpec):
-    if j < 0:
-        raise ValueError("index must be nonnegative")
+    j = require_int("index", j, 0)
     n, m, k = spec.n, spec.m, spec.k
     j1 = j % n
     rest = j // n
@@ -59,7 +58,8 @@ def index_to_coords(j: int, spec: LatticeSpec):
 
 
 def coords_to_index(coords, spec: LatticeSpec) -> int:
-    j1, j2, j3, j4 = coords
+    j1, j2, j3, j4 = (require_int(f"j{axis}", c, 0)
+                      for axis, c in enumerate(coords, start=1))
     n, m, k = spec.n, spec.m, spec.k
     return j1 + n * j2 + n * m * j3 + (k * n * m * j4 if k >= 1 else 0)
 
@@ -67,7 +67,8 @@ def coords_to_index(coords, spec: LatticeSpec) -> int:
 def neighbors(j: int, spec: LatticeSpec):
     """Neighbor list as (neighbor_index, axis, direction); at k = 0 the
     axis-4 entry is the internal self-link (direction 0)."""
-    if not 0 <= j < spec.horizon:
+    j = require_int("index", j, 0)
+    if j >= spec.horizon:
         raise ValueError("index outside horizon")
     out = []
     for axis, d in enumerate(spec.delays, start=1):

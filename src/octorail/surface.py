@@ -45,12 +45,11 @@ import numpy as np
 
 from .exact import (ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, _new,
                     gauss_jordan)
-# Unused here; other code reads the Monte Carlo under these names.
-# perfbench's memory ops call surface.memory_experiment.  Its tracer wraps
+# Unused here; perfbench reads the Monte Carlo under these names.  Its
+# memory ops call surface.memory_experiment, and its tracer wraps
 # octorail.surface's _flip_weights and decode_matching, and every alias of
 # them by identity, so CI's traced smoke step sees surface.decoded_trials
-# and surface.defects above 0.  tests/test_acceptance.py imports
-# memory_experiment from here.
+# and surface.defects above 0.
 from .memory import _flip_weights, decode_matching, memory_experiment
 from .networks import eightsplitter_matrix, eightsplitter_sign_form
 

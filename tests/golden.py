@@ -60,9 +60,31 @@ def _relations():
         + "\n}\n"
 
 
+#: The seeded memory runs that ``test_memory_experiment_pinned_seeded_results``
+#: compares with their recorded results: 240 trials at each distance, level
+#: and rounds of a grid, seeded 100 rounds + 10 d + dB, and two runs of
+#: twelve rounds, whose blocks' decoded trials span many slices of few
+#: trials each.
+PINNED_MEMORY = [(d, db, rounds, 240, 100 * rounds + 10 * d + int(db))
+                 for d in (3, 5, 7) for db in (7.0, 11.0, 13.0)
+                 for rounds in (1, 3)] + [(5, 11.0, 12, 240, 1261),
+                                          (7, 11.0, 12, 240, 1281)]
+
+
 def _memory_identity():
-    """The ``MemoryResult`` of 126 seeded configurations, one a line: a
-    grid, trial counts on both sides of the 256-trial block, and six more."""
+    """The ``MemoryResult`` of 146 seeded configurations, one a line: a
+    grid, trial counts on both sides of the 256-trial block, six more, and
+    ``PINNED_MEMORY``.
+
+    The pinned runs' failures were first typed into the test by hand.  They
+    were recorded again when the blossom on the dense twin matrix, whose
+    1e12 boundary weights swallowed the path lengths, gave way to the exact
+    matcher; on every decoded trial of these runs the new matching is no
+    heavier than the old.  Like every result here, they still embed the
+    ``_flip_weights`` fault: its two sums are named the wrong way round, so
+    every matching weight is floored to 1e-6 and ties, broken by the
+    matcher, are everywhere.  They must move, and be recorded again, when
+    that fault is fixed."""
     grid = [(d, db, rounds, 300, seed) for d in (3, 5, 7)
             for db in (7.0, 11.0, 13.0) for rounds in (1, 3)
             for seed in range(4)]
@@ -73,8 +95,17 @@ def _memory_identity():
                (3, 20.0, 3, 300, 7), (5, 36.0, 2, 300, 8),
                (7, 40.0, 3, 300, 9), (7, 11.0, 2, 2049, 10)]
     cases = [{"config": list(c), "result": list(dataclasses.astuple(
-        memory_experiment(*c)))} for c in grid + blocks + further]
+        memory_experiment(*c)))}
+        for c in grid + blocks + further + PINNED_MEMORY]
     return "[\n" + ",\n".join(map(json.dumps, cases)) + "\n]\n"
+
+
+def memory_result(config):
+    """The recorded ``dataclasses.astuple`` of ``memory_experiment(*config)``
+    for a configuration of ``memory_identity``."""
+    cases = json.loads((DATA / GOLDENS["memory_identity"][0]).read_text())
+    return next(tuple(case["result"]) for case in cases
+                if case["config"] == list(config))
 
 
 GOLDENS = {

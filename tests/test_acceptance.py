@@ -27,12 +27,13 @@ from octorail.gkp import (Encoding, fidelity, fine_grid, hexagonal_encoding,
 from octorail.lattice import (INTERNAL, LatticeSpec, build_lattice,
                               coords_to_index, index_to_coords, neighbors,
                               rhg_view)
+from octorail.memory import memory_experiment
 from octorail.networks import (build_network, cancel_layer,
                                check_layer_commutation, x_block)
 from octorail.permutations import (ModePermutation, SignedPermutationMatrix,
                                    TransformRejection, basis_transform,
                                    cosets, generate_allowed, is_allowed)
-from octorail.surface import (derive_quadrature_relations, memory_experiment,
+from octorail.surface import (derive_quadrature_relations,
                               stabilizer_combination, verify_regrouping)
 
 LAM = np.diag([1.0, -1.0])

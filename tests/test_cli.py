@@ -83,8 +83,7 @@ def test_gates_solve_rejects_non_finite_param(capsys):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: target matrix is not finite: "
-                   "[[1.0, 0.0], [nan, 1.0]]\n")
+    assert err == "error: param must be finite, got nan\n"
 
 
 def test_gates_verify_json_is_the_recorded_report():
@@ -366,6 +365,10 @@ def test_error_is_single_line(capsys):
      "arity must be an integer, got '2'"),
     ({"arity": 2.5}, ["gates", "solve", "--target", "identity"],
      "arity must be an integer, got 2.5"),
+    ({"param": "1"}, ["gates", "solve", "--target", "shear"],
+     "param must be finite, got '1'"),
+    ({"param": True}, ["gates", "solve", "--target", "shear"],
+     "param must be finite, got True"),
 ])
 def test_config_values_reach_the_checks_unconverted(capsys, tmp_path,
                                                     monkeypatch, config,

@@ -77,6 +77,23 @@ def test_spec_rejects_sizes_that_are_not_integers(field, bad):
         LatticeSpec(**sizes)
 
 
+@pytest.mark.parametrize("bad", [5.5, True, "3", -1])
+def test_index_functions_reject_indices_that_are_not_counts(bad):
+    """A time index, and each lattice coordinate, is a non-negative integer:
+    5.5 would give fractional coordinates and True would act as index 1,
+    so each is refused by name."""
+    spec = LatticeSpec(4, 3, 2, 100)
+    want = "non-negative" if bad == -1 else "an integer"
+    for call in (lambda: index_to_coords(bad, spec),
+                 lambda: neighbors(bad, spec)):
+        with pytest.raises(ValueError, match=f"^index must be {want}, got "):
+            call()
+    with pytest.raises(ValueError, match=f"^j2 must be {want}, got "):
+        coords_to_index((1, bad, 0, 0), spec)
+    with pytest.raises(ValueError, match="^index outside horizon$"):
+        neighbors(100, spec)
+
+
 def test_rhg_split_degree_pattern():
     # interior half-nodes: 3 external Bell links + 1 internal link each
     spec = LatticeSpec(4, 4, 0, 128)
