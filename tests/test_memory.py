@@ -1,25 +1,27 @@
-"""Tests of octorail.memory, the Monte Carlo memory experiment.
+"""Tests of the stages of octorail.memory, the Monte Carlo memory
+experiment, against written-out oracles.
 
 Every stage that a test watches is wrapped by one recorder, ``_calls``.
 The oracles are written out once each: the noise (``_noise``), the
 syndrome loop (``_syndrome_loop``), a per-trial simulator on the program's
 normal stream (``_per_trial_oracle``), the space-time graph and its
 boundary scan (``_scan_oracle``), and the earlier pair scan and
-set-ordered DP of the matcher.  Seeded results are recorded in
-``tests/data/memory_identity.json`` (``tests/golden.py``).
+set-ordered DP of the matcher.  The tests of memory's entry points as a
+caller sees them (``gkp_bin``, ``wilson_interval`` and the results of
+``memory_experiment``, the seeded ones among them) are in
+``tests/test_surface.py``; they watch no stage.
 """
 
 import dataclasses
 import math
 
-import golden
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from octorail import memory, surface
 from octorail.memory import (SQRT_PI, NoiseModel, _corrections, _defects,
-                             gkp_bin, memory_experiment, wilson_interval)
+                             memory_experiment)
 
 
 def _calls(mp, name, module=memory):
@@ -81,7 +83,7 @@ def test_surface_aliases_are_the_memory_functions():
 
 
 # --------------------------------------------------------------------------
-# noise model, binning and the Wilson interval
+# the noise model
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("db", [3.0, 7.0, 9.75, 11, 13.0, 40.0])
@@ -115,134 +117,9 @@ def test_noise_columns_follow_the_row_layout(distance, rounds):
     assert dg.data_col.max() == len(scale) + len(dg.anchor_col) - 1
 
 
-@given(st.floats(-20, 20, allow_nan=False),
-       st.lists(st.floats(-20, 20, allow_nan=False), max_size=6))
-def test_gkp_bin_residual_range(value, more):
-    bit, residual = gkp_bin(value)
-    assert bit in (0, 1)
-    assert -SQRT_PI / 2 <= residual < SQRT_PI / 2
-    n = round((value - residual) / SQRT_PI)
-    assert n % 2 == bit
-    assert value == pytest.approx(n * SQRT_PI + residual)
-    # bit for bit the nearest grid point, written out
-    nearest = math.floor(value / SQRT_PI + 0.5)
-    assert (bit, residual) == (nearest % 2 == 1, value - nearest * SQRT_PI)
-    # an array is binned elementwise, exactly as by scalar calls
-    values = np.array([value] + more)
-    bits, residuals = gkp_bin(values)
-    assert bits.shape == residuals.shape == values.shape
-    for v, b, r in zip(values, bits, residuals):
-        assert (b, r) == gkp_bin(float(v))
-
-
-def test_gkp_bin_shift_by_sqrt_pi_flips_parity():
-    for v in (0.0, 0.3, -0.7, 1.9):
-        b0, _ = gkp_bin(v)
-        b1, _ = gkp_bin(v + SQRT_PI)
-        assert b0 != b1
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_gkp_bin_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError, match="finite"):
-        gkp_bin(bad)
-    with pytest.raises(ValueError, match="finite"):
-        gkp_bin(np.array([[0.5, 1.0], [bad, -2.0]]))
-
-
-def test_wilson_interval_contains_estimate():
-    lo, hi = wilson_interval(8, 2000)
-    assert lo < 8 / 2000 < hi
-    lo0, hi0 = wilson_interval(0, 100)
-    assert lo0 == 0.0 and hi0 > 0
-
-
-@pytest.mark.parametrize("failures, trials", [(1, -4), (0, 0), (3, 2),
-                                              (-1, 5), (1.5, 3), (True, 3),
-                                              (1, 3.0), (0, True)])
-def test_wilson_interval_rejects_impossible_counts(failures, trials):
-    with pytest.raises(ValueError, match="failures|trials"):
-        wilson_interval(failures, trials)
-
-
 # --------------------------------------------------------------------------
-# memory_experiment as a whole
+# the decoding graph's cache
 # --------------------------------------------------------------------------
-
-def test_memory_experiment_reproducible():
-    a = memory_experiment(3, 13.0, 3, 200, seed=5)
-    b = memory_experiment(3, 13.0, 3, 200, seed=5)
-    assert a == b
-    assert a.trials == 200
-    assert 0 <= a.rate <= 1
-    assert a.ci_low <= a.rate <= a.ci_high
-
-
-def test_memory_experiment_noise_monotonicity():
-    quiet = memory_experiment(3, 16.0, 3, 400, seed=2)
-    noisy = memory_experiment(3, 6.0, 3, 400, seed=2)
-    assert noisy.rate > quiet.rate
-
-
-def test_memory_experiment_validates_arguments():
-    with pytest.raises(ValueError):
-        memory_experiment(4, 10.0, 3, 10, seed=0)
-    with pytest.raises(ValueError):
-        memory_experiment(3, 10.0, 0, 10, seed=0)
-    with pytest.raises(ValueError):
-        memory_experiment(3, 10.0, 3, 0, seed=0)
-    for db in (0.0, -3.0, math.nan, math.inf, -math.inf, True, "7"):
-        with pytest.raises(ValueError, match="squeezing_db"):
-            memory_experiment(3, db, 3, 10, seed=0)
-    args = {"distance": 3, "squeezing_db": 10.0, "rounds": 3, "trials": 10,
-            "seed": 0}
-    for name in ("distance", "rounds", "trials", "seed"):
-        for bad in (float(args[name]), args[name] + 0.5, True, "3"):
-            with pytest.raises(ValueError, match=f"{name} must be an "
-                                                 "integer"):
-                memory_experiment(**{**args, name: bad})
-    with pytest.raises(ValueError, match="seed must be non-negative"):
-        memory_experiment(**{**args, "seed": -3})
-    # NumPy integers are integers
-    assert memory_experiment(np.int64(3), 10.0, np.int32(3), np.int64(10),
-                             np.uint8(0)) == memory_experiment(3, 10.0, 3,
-                                                               10, 0)
-
-
-@pytest.mark.parametrize("kind", [np.uint8, np.int16])
-def test_memory_experiment_takes_fixed_width_counts(kind):
-    """Fixed-width NumPy counts give the plain-int results and echo Python
-    ints: the rounds x stabilizers products and the Wilson interval's
-    trials^2 would overflow in uint8.  They run first on a cold cache, so
-    the plain-int runs after them reuse the graphs they cached."""
-    cases = [(3, 10.0, 20, 50, 0), (3, 10.0, 30, 50, 1),
-             (5, 9.0, 2, 255, 2)]
-    memory._decoding_graph.cache_clear()
-    fixed = [memory_experiment(kind(d), db, kind(r), kind(t), kind(seed))
-             for d, db, r, t, seed in cases]
-    assert fixed == [memory_experiment(*case) for case in cases]
-    for result in fixed:
-        for name in ("distance", "rounds", "trials", "failures", "seed"):
-            assert type(getattr(result, name)) is int
-
-
-@pytest.mark.parametrize("config", golden.PINNED_MEMORY,
-                         ids=lambda c: f"d{c[0]}-{c[1]:g}dB-r{c[2]}")
-def test_memory_experiment_pinned_seeded_results(config):
-    """Seeded results stay fixed, bit for bit: each run gives its recorded
-    line of ``memory_identity``, whose producer's docstring tells their
-    history."""
-    result = memory_experiment(*config)
-    assert type(result.failures) is int
-    assert dataclasses.astuple(result) == golden.memory_result(config)
-
-
-def test_memory_experiment_stream_is_continuous_across_blocks(monkeypatch):
-    cases = [(3, 11.0, 3, 50, 1), (5, 9.0, 2, 50, 2), (7, 13.0, 1, 50, 3)]
-    whole = [memory_experiment(*case) for case in cases]
-    monkeypatch.setattr(memory, "_BLOCK_TRIALS", 7)
-    assert [memory_experiment(*case) for case in cases] == whole
-
 
 def test_decoding_graph_is_built_once_per_shape(monkeypatch):
     """The same (distance, rounds) returns one read-only graph, whose seven
