@@ -9,12 +9,16 @@ and times it in ``seconds``.
 Configuration precedence: command-line flags > JSON config file (passed via
 ``--config``, flat key/value pairs named after the flags) > built-in
 defaults.  Every CSV output starts with a config-echo comment line and a
-header row; all seeded commands are byte-reproducible.
+header row; all seeded commands are byte-reproducible.  Every document is
+written by ``_emit``, and every refusal is ``_fail``'s one ``error:`` line
+on stderr with exit status 1.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import json
 import math
 import sys
@@ -39,27 +43,34 @@ def _cfg(ctx, name, flag_value, default):
     return (ctx.obj or {}).get(name, default)
 
 
-def _echo_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _json(doc):
+    """A JSON document as every command writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(config, header, rows):
+    """A CSV document: the ``# config:`` line, the header and the rows."""
+    out = io.StringIO()
+    out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _emit(text, path):
+    """Write ``text`` to the file ``path``, or to stdout without one."""
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
 
 
-def _write_csv(path, config, header, rows):
-    def emit(fh):
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if path:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+def _fail(message):
+    """Refuse: one ``error: <message>`` line on stderr, exit status 1."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +216,7 @@ def cli(ctx, config_path):
         with open(config_path) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            raise click.ClickException("config file must hold a JSON object")
+            _fail("config file must hold a JSON object")
         ctx.obj = loaded
 
 
@@ -216,12 +227,10 @@ def verify_all(json_path):
     report = run_verification_suites()
     passed = sum(r["pass"] for r in report)
     doc = {"identities": report, "total": len(report), "passed": passed}
-    _echo_json(doc, json_path)
+    _emit(_json(doc), json_path)
     failures = [r for r in report if not r["pass"]]
     if failures:
-        click.echo(f"error: {failures[0]['name']} failed "
-                   f"({failures[0]['detail']})", err=True)
-        sys.exit(1)
+        _fail(f"{failures[0]['name']} failed ({failures[0]['detail']})")
 
 
 @cli.group()
@@ -235,12 +244,7 @@ def network():
 @click.pass_context
 def network_dump(ctx, level, json_path):
     level = _cfg(ctx, "level", level, 2)
-    text = networks.build_network(level).to_json() + "\n"
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(networks.build_network(level).to_json() + "\n", json_path)
 
 
 @cli.group("gates")
@@ -252,11 +256,10 @@ def gates_group():
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def gates_verify(json_path):
     report = gates.verify_gate_tables()
-    _echo_json({"rows": report}, json_path)
+    _emit(_json({"rows": report}), json_path)
     if not all(r["pass"] for r in report):
         bad = next(r for r in report if not r["pass"])
-        click.echo(f"error: gate table row {bad['gate']} failed", err=True)
-        sys.exit(1)
+        _fail(f"gate table row {bad['gate']} failed")
 
 
 _NAMED_TARGETS = {
@@ -284,17 +287,16 @@ def gates_solve(ctx, target, arity, param, seed, json_path):
     param = _cfg(ctx, "param", param, -1.0)
     seed = _cfg(ctx, "seed", seed, 0)
     if target in ("swap", "cz") and arity < 2:
-        raise click.ClickException(f"{target} needs arity >= 2")
+        _fail(f"{target} needs arity >= 2")
     require_real("param", param)
     matrix = _NAMED_TARGETS[target](arity, param)
     sol = gates.solve_angles(SymplecticMap(arity, matrix), arity, seed=seed)
-    _echo_json({"target": target, "arity": arity, "param": param,
-                "seed": seed, "angles": list(sol.angles),
-                "residual": sol.residual, "reachable": sol.reachable},
-               json_path)
+    _emit(_json({"target": target, "arity": arity, "param": param,
+                 "seed": seed, "angles": list(sol.angles),
+                 "residual": sol.residual, "reachable": sol.reachable}),
+          json_path)
     if not sol.reachable:
-        click.echo("error: no angle solution found", err=True)
-        sys.exit(1)
+        _fail("no angle solution found")
 
 
 @cli.group()
@@ -308,8 +310,8 @@ def perms_cosets(csv_path):
     reps = permutations.cosets()
     rows = [(i, rep.to_cycles(), " ".join(map(str, rep.images)))
             for i, rep in enumerate(reps)]
-    _write_csv(csv_path, {"command": "perms cosets"},
-               ["index", "cycles", "images"], rows)
+    _emit(_csv({"command": "perms cosets"}, ["index", "cycles", "images"],
+               rows), csv_path)
 
 
 @perms.command("check")
@@ -331,10 +333,9 @@ def perms_check(perm):
     if isinstance(t, permutations.SignedPermutationMatrix):
         doc["basis_transform"] = {"permutation": t.permutation.to_cycles(),
                                   "signs": list(t.signs)}
-    _echo_json(doc, None)
+    _emit(_json(doc), None)
     if via_closure != via_sets:
-        click.echo("error: membership implementations disagree", err=True)
-        sys.exit(1)
+        _fail("membership implementations disagree")
 
 
 @cli.group()
@@ -360,16 +361,13 @@ def lattice_export(ctx, n, m, k, horizon, dot_path, json_path, roles):
     horizon = _cfg(ctx, "t", horizon, 64)
     graph = build_lattice(LatticeSpec(n, m, k, horizon))
     if roles:
-        graph = type(graph)(graph.spec, graph.nodes, graph.coords,
-                            graph.edges, surface_layout(graph), graph.ports)
+        graph = dataclasses.replace(graph, roles=surface_layout(graph))
     if not dot_path and not json_path:
-        raise click.ClickException("pass --dot and/or --json")
+        _fail("pass --dot and/or --json")
     if dot_path:
-        with open(dot_path, "w") as fh:
-            fh.write(graph.to_dot())
+        _emit(graph.to_dot(), dot_path)
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(graph.to_json() + "\n")
+        _emit(graph.to_json() + "\n", json_path)
 
 
 @cli.group("surface")
@@ -385,13 +383,12 @@ def surface_verify(json_path):
     differs from the reference tables (non-exact entries carry a diff)."""
     entries = [{"role": role, "output": output, "status": status, **extra}
                for role, output, status, extra in _data_basis_verdicts()]
-    _echo_json({"relations": entries}, json_path)
+    _emit(_json({"relations": entries}), json_path)
     bad = [e for e in entries if e["status"] != "exact"]
     if bad:
-        click.echo(f"error: {len(bad)} relations differ from the reference "
-                   f"tables (first: {bad[0]['role']} {bad[0]['output']} "
-                   f"{bad[0]['status']})", err=True)
-        sys.exit(1)
+        _fail(f"{len(bad)} relations differ from the reference tables "
+              f"(first: {bad[0]['role']} {bad[0]['output']} "
+              f"{bad[0]['status']})")
 
 
 @surface_group.command("memory")
@@ -411,12 +408,12 @@ def surface_memory(ctx, distance, db, rounds, trials, seed, csv_path):
     res = memory.memory_experiment(distance, db, rounds, trials, seed)
     config = {"d": distance, "db": db, "rounds": rounds, "trials": trials,
               "seed": seed}
-    _write_csv(csv_path, config,
+    _emit(_csv(config,
                ["distance", "db", "rounds", "trials", "failures", "rate",
                 "ci_low", "ci_high", "seed"],
                [(res.distance, res.squeezing_db, res.rounds, res.trials,
                  res.failures, f"{res.rate:.6g}", f"{res.ci_low:.6g}",
-                 f"{res.ci_high:.6g}", res.seed)])
+                 f"{res.ci_high:.6g}", res.seed)]), csv_path)
 
 
 @cli.group("gkp")
@@ -432,13 +429,14 @@ def gkp_perror(ctx, db, delta_sq):
     db = _cfg(ctx, "db", db, None)
     delta_sq = _cfg(ctx, "delta_sq", delta_sq, None)
     if (db is None) == (delta_sq is None):
-        raise click.ClickException("pass exactly one of --db / --delta-sq")
+        _fail("pass exactly one of --db / --delta-sq")
     level = (gkp.db_conversion(db, "from-db") if db is not None
              else gkp.db_conversion(delta_sq, "to-db"))
     perr = gkp.p_error(level.delta_sq)
     tail = gkp.p_error_tail_oracle(level.delta_sq)
-    _echo_json({"delta_sq": level.delta_sq, "db": level.db, "p_error": perr,
-                "tail_oracle": tail, "ratio": perr / tail}, None)
+    _emit(_json({"delta_sq": level.delta_sq, "db": level.db,
+                 "p_error": perr, "tail_oracle": tail, "ratio": perr / tail}),
+          None)
 
 
 _ENCODINGS = {
@@ -461,12 +459,13 @@ _ENCODINGS = {
 def gkp_angles(ctx, encoding, alpha, theta1, theta2):
     encoding = _cfg(ctx, "encoding", encoding, "square")
     alpha = _cfg(ctx, "alpha", alpha, math.sqrt(math.pi))
+    require_real("alpha", alpha, positive=True)
     enc = _ENCODINGS[encoding](alpha)
     w1, lam, w2 = gkp.decompose_rpr(enc.u_g)
     phi1, phi2 = gkp.transform_angles(theta1, theta2, enc)
-    _echo_json({"encoding": encoding, "theta1": theta1, "theta2": theta2,
-                "omega1": w1, "lambda": lam, "omega2": w2,
-                "phi1": phi1, "phi2": phi2}, None)
+    _emit(_json({"encoding": encoding, "theta1": theta1, "theta2": theta2,
+                 "omega1": w1, "lambda": lam, "omega2": w2,
+                 "phi1": phi1, "phi2": phi2}), None)
 
 
 @gkp_group.command("magic-probe")
@@ -487,24 +486,22 @@ def gkp_magic_probe(ctx, db, samples, seed, csv_path):
              f"{s.weight:.9g}", f"{s.bloch[0]:.9g}", f"{s.bloch[1]:.9g}",
              f"{s.bloch[2]:.9g}", f"{s.h_axis_distance:.9g}",
              f"{s.projection_fidelity:.9g}") for s in result.samples]
-    _write_csv(csv_path, config,
+    _emit(_csv(config,
                ["alpha_re", "alpha_im", "weight", "bloch_x", "bloch_y",
-                "bloch_z", "h_axis_distance", "projection_fidelity"], rows)
+                "bloch_z", "h_axis_distance", "projection_fidelity"], rows),
+          csv_path)
 
 
 def main(argv=None):
     try:
         cli(args=argv, standalone_mode=False, obj={})
-    except SystemExit:
-        raise
     except click.exceptions.Abort:
         sys.exit(1)
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # click's own; usage errors exit 2
         click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(exc.exit_code or 1)
+        sys.exit(exc.exit_code)
     except Exception as exc:  # single-line machine-parsable failure
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
 
 
 if __name__ == "__main__":

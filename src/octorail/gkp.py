@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .checks import require_int, require_real
 from .gates import _homodyne_delta
@@ -62,11 +61,17 @@ def db_conversion(value: float, direction: str) -> SqueezingLevel:
     raise ValueError("direction must be 'to-db' or 'from-db'")
 
 
+def _require_below_one(delta_sq) -> None:
+    """``ValueError`` unless ``delta_sq`` is a real number in (0, 1)."""
+    require_real("delta_sq", delta_sq, positive=True)
+    if delta_sq >= 1:
+        raise ValueError(f"delta_sq must be below 1, got {delta_sq!r}")
+
+
 def p_error(delta_sq: float) -> float:
     """Asymptotic misbinning probability of a single homodyne readout,
     (2*Delta/pi) * exp(-pi/(4*Delta^2))."""
-    if not 0 < delta_sq < 1:
-        raise ValueError("delta_sq must lie in (0, 1)")
+    _require_below_one(delta_sq)
     delta = math.sqrt(delta_sq)
     return (2 * delta / math.pi) * math.exp(-math.pi / (4 * delta_sq))
 
@@ -74,8 +79,7 @@ def p_error(delta_sq: float) -> float:
 def p_error_tail_oracle(delta_sq: float) -> float:
     """Numeric companion to :func:`p_error`: the Gaussian mass a peak of
     variance delta_sq/2 places outside [-sqrt(pi)/2, sqrt(pi)/2)."""
-    if not 0 < delta_sq < 1:
-        raise ValueError("delta_sq must lie in (0, 1)")
+    _require_below_one(delta_sq)
     return math.erfc(SQRT_PI / (2 * math.sqrt(delta_sq)))
 
 
@@ -467,6 +471,8 @@ def _hankel_toeplitz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _interpolant(wf: GridWavefunction):
     """Cubic-spline interpolant of the amplitudes, zero off the grid."""
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(wf.grid.axis, wf.amplitudes, extrapolate=False)
 
     def input_at(points):

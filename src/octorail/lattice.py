@@ -10,7 +10,7 @@ producing the 3D lattice that runs the surface code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .checks import require_int
 
@@ -58,10 +58,17 @@ def index_to_coords(j: int, spec: LatticeSpec):
 
 
 def coords_to_index(coords, spec: LatticeSpec) -> int:
+    """The time index of lattice point ``coords``: j1 < n, j2 < m, and
+    j3 < k when k >= 1 or j4 = 0 when k = 0, the last axis being time."""
     j1, j2, j3, j4 = (require_int(f"j{axis}", c, 0)
                       for axis, c in enumerate(coords, start=1))
     n, m, k = spec.n, spec.m, spec.k
-    return j1 + n * j2 + n * m * j3 + (k * n * m * j4 if k >= 1 else 0)
+    for name, value, size in (("j1", j1, n), ("j2", j2, m), ("j3", j3, k)):
+        if value >= size > 0:
+            raise ValueError(f"{name} must be below {size}, got {value}")
+    if k == 0 and j4 != 0:
+        raise ValueError(f"j4 must be 0 when k = 0, got {j4}")
+    return j1 + n * (j2 + m * (j3 + k * j4))
 
 
 def neighbors(j: int, spec: LatticeSpec):
@@ -220,6 +227,4 @@ def wiring_variant(kind: str) -> MacronodeGraph:
             + tuple(("input", mode) for mode in range(5, 9))
     else:
         raise ValueError("unknown wiring variant")
-    base = build_lattice(LatticeSpec(1, 1, 1, 1))
-    return MacronodeGraph(base.spec, base.nodes, base.coords, base.edges,
-                          dict(base.roles), ports)
+    return replace(build_lattice(LatticeSpec(1, 1, 1, 1)), ports=ports)

@@ -13,6 +13,32 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture
+def refused(capsys, tmp_path, monkeypatch):
+    """``refused(argv, config=None)`` runs ``octorail ARGV`` in an empty
+    directory, with ``config`` written to its ``--config`` file if given.
+    It checks that the command refused: exit status 1, nothing on stdout,
+    one line on stderr that starts ``error: `` and no file written; and it
+    returns that line."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv, config=None):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", "cfg.json", *argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name != "cfg.json"] == []
+        return err[:-1]
+
+    return run
+
+
 def test_verify_all_passes(runner):
     result = runner.invoke(cli, ["verify-all"])
     assert result.exit_code == 0, result.output
@@ -77,13 +103,9 @@ def test_gates_solve(runner):
     assert doc["reachable"] and doc["residual"] < 1e-9
 
 
-def test_gates_solve_rejects_non_finite_param(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gates", "solve", "--target", "shear", "--param", "nan"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: param must be finite, got nan\n"
+def test_gates_solve_rejects_non_finite_param(refused):
+    assert refused(["gates", "solve", "--target", "shear", "--param",
+                    "nan"]) == "error: param must be finite, got nan"
 
 
 def test_gates_verify_json_is_the_recorded_report():
@@ -97,15 +119,11 @@ def test_gates_solve_json_is_the_recorded_solution(target, arity):
     assert golden.difference(f"gates_solve/{target}-{arity}") is None
 
 
-def test_gkp_magic_probe_rejects_nan_level(capsys):
+def test_gkp_magic_probe_rejects_nan_level(refused):
     from octorail.gkp import heterodyne_magic_probe
 
-    with pytest.raises(SystemExit) as exc:
-        main(["gkp", "magic-probe", "--db", "nan", "--samples", "2"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert refused(["gkp", "magic-probe", "--db", "nan", "--samples",
+                    "2"]) == "error: db must be finite, got nan"
     # library callers reach the probe without the dB conversion
     with pytest.raises(ValueError):
         heterodyne_magic_probe(float("nan"), 2, 0)
@@ -135,13 +153,9 @@ def test_perms_cosets_csv_is_the_recorded_table():
 
 
 @pytest.mark.parametrize("perm", ["(12)junk", "12)(34)", "(1a2)"])
-def test_perms_check_rejects_unreadable_cycles(capsys, perm):
-    with pytest.raises(SystemExit) as exc:
-        main(["perms", "check", perm])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: cannot parse cycle notation: {perm!r}\n"
+def test_perms_check_rejects_unreadable_cycles(refused, perm):
+    assert refused(["perms", "check", perm]) == (
+        f"error: cannot parse cycle notation: {perm!r}")
 
 
 def test_lattice_export_dot(runner, tmp_path):
@@ -233,9 +247,15 @@ def test_gkp_perror(runner):
     assert doc["p_error"] == pytest.approx(7.8e-5, rel=0.01)
 
 
-def test_gkp_perror_requires_one_input(runner):
+def test_gkp_perror_requires_one_input(runner, refused):
+    message = "error: pass exactly one of --db / --delta-sq"
+    assert refused(["gkp", "perror"]) == message
+    assert refused(["gkp", "perror", "--db", "10", "--delta-sq",
+                    "0.1"]) == message
+    # click's standalone mode prints the same refusal
     result = runner.invoke(cli, ["gkp", "perror"])
-    assert result.exit_code != 0
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == message + "\n"
 
 
 def test_gkp_angles(runner):
@@ -248,13 +268,9 @@ def test_gkp_angles(runner):
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
-def test_gkp_angles_rejects_non_finite_angles(capsys, theta):
-    with pytest.raises(SystemExit) as exc:
-        main(["gkp", "angles", "--theta1", theta, "--theta2", "1"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: theta1 must be finite, got {float(theta)}\n"
+def test_gkp_angles_rejects_non_finite_angles(refused, theta):
+    assert refused(["gkp", "angles", "--theta1", theta, "--theta2",
+                    "1"]) == f"error: theta1 must be finite, got {theta}"
 
 
 def test_gkp_magic_probe_csv(runner, tmp_path):
@@ -281,74 +297,55 @@ def test_config_file_precedence(runner, tmp_path):
 
 
 @pytest.mark.parametrize("db", ["0", "-3"])
-def test_surface_memory_rejects_unsqueezed_level(capsys, db):
-    with pytest.raises(SystemExit) as exc:
-        main(["surface", "memory", "--db", db, "--trials", "5"])
-    assert exc.value.code != 0
-    err = capsys.readouterr().err
-    assert err.startswith("error: squeezing_db must be finite and positive, "
-                          "got ")
+def test_surface_memory_rejects_unsqueezed_level(refused, db):
+    assert refused(["surface", "memory", "--db", db, "--trials", "5"]) == (
+        f"error: squeezing_db must be finite and positive, got {float(db)}")
 
 
-def test_surface_memory_rejects_negative_seed(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["surface", "memory", "--seed", "-3", "--trials", "5"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: seed must be non-negative, got -3\n"
+def test_surface_memory_rejects_negative_seed(refused):
+    assert refused(["surface", "memory", "--seed", "-3", "--trials",
+                    "5"]) == "error: seed must be non-negative, got -3"
 
 
-def test_gkp_magic_probe_rejects_negative_seed(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gkp", "magic-probe", "--seed", "-3", "--samples", "2"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: seed must be non-negative, got -3\n"
+def test_gkp_magic_probe_rejects_negative_seed(refused):
+    assert refused(["gkp", "magic-probe", "--seed", "-3", "--samples",
+                    "2"]) == "error: seed must be non-negative, got -3"
 
 
 @pytest.mark.parametrize("name, value", [("samples", 10.5), ("seed", 2.5),
                                          ("samples", True)])
-def test_gkp_magic_probe_rejects_non_integer_config_count(capsys, tmp_path,
-                                                          name, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({name: value}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "gkp", "magic-probe"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {name} must be an integer, got {value!r}\n"
+def test_gkp_magic_probe_rejects_non_integer_config_count(refused, name,
+                                                          value):
+    assert refused(["gkp", "magic-probe"], {name: value}) == (
+        f"error: {name} must be an integer, got {value!r}")
 
 
-def test_surface_memory_rejects_fractional_config_count(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trials": 10.5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "surface", "memory"])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err == ("error: trials must be an integer, "
-                                       "got 10.5\n")
+def test_surface_memory_rejects_fractional_config_count(refused):
+    assert refused(["surface", "memory"], {"trials": 10.5}) == (
+        "error: trials must be an integer, got 10.5")
 
 
-def test_lattice_export_rejects_m_zero(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["lattice", "export", "--m", "0",
-              "--json", str(tmp_path / "g.json")])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: m must be positive, got 0")
+def test_lattice_export_rejects_m_zero(refused):
+    assert refused(["lattice", "export", "--m", "0", "--json",
+                    "g.json"]) == "error: m must be positive, got 0"
 
 
-def test_error_is_single_line(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["lattice", "export", "--n", "0", "--m", "1", "--k", "0",
-              "--t", "4", "--json", "-"])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: n must be positive, got 0\n"
+def test_error_is_single_line(refused):
+    assert refused(["lattice", "export", "--n", "0", "--m", "1", "--k", "0",
+                    "--t", "4", "--json", "-"]) == (
+        "error: n must be positive, got 0")
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["network", "dump"], [2], "config file must hold a JSON object"),
+    (["gates", "solve", "--target", "swap"], None, "swap needs arity >= 2"),
+    (["lattice", "export"], None, "pass --dot and/or --json"),
+])
+def test_command_refusals_say_what_is_missing(refused, command, config,
+                                              message):
+    """What no library check sees: a config file that holds no object, a
+    two-mode target on one mode and an export with nowhere to go."""
+    assert refused(command, config) == f"error: {message}"
 
 
 @pytest.mark.parametrize("config, command, message", [
@@ -370,19 +367,40 @@ def test_error_is_single_line(capsys):
     ({"param": True}, ["gates", "solve", "--target", "shear"],
      "param must be finite, got True"),
 ])
-def test_config_values_reach_the_checks_unconverted(capsys, tmp_path,
-                                                    monkeypatch, config,
+def test_config_values_reach_the_checks_unconverted(refused, config,
                                                     command, message):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), *command])
-    assert exc.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == [f"error: {message}"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert refused(command, config) == f"error: {message}"
+
+
+#: Every key that each command reads from ``--config``
+CONFIG_KEYS = {
+    "network dump": ("level",),
+    "gates solve --target identity": ("arity", "param", "seed"),
+    "lattice export --json g.json": ("n", "m", "k", "t"),
+    "surface memory": ("d", "db", "rounds", "trials", "seed"),
+    "gkp perror": ("db", "delta_sq"),
+    "gkp angles --theta1 0 --theta2 0": ("alpha",),
+    "gkp magic-probe": ("db", "samples", "seed"),
+}
+REAL_KEYS = {"param", "db", "delta_sq", "alpha"}
+#: The keys that the library refuses under its own name
+LIBRARY_NAMES = {("lattice export", "t"): "horizon",
+                 ("surface memory", "d"): "distance",
+                 ("surface memory", "db"): "squeezing_db"}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for command, keys in CONFIG_KEYS.items()
+    for key in keys
+    for value in [True, math.nan, math.inf, -math.inf, "1"]
+    + [1.5] * (key not in REAL_KEYS)])
+def test_every_config_key_is_refused_by_name(refused, command, key, value):
+    """JSON's true, NaN, ±Infinity and "1", and 1.5 for a count, are
+    refused by every key that reads them, under the key's name."""
+    name = LIBRARY_NAMES.get((" ".join(command.split()[:2]), key), key)
+    line = refused(command.split(), {key: value})
+    assert line.startswith(f"error: {name} must be "), line
+    assert line.endswith(f", got {value!r}"), line
 
 
 def test_suite_has_enough_identities():

@@ -102,10 +102,17 @@ def test_p_error_against_tail_oracle():
 
 
 def test_p_error_domain():
-    with pytest.raises(ValueError):
-        p_error(0.0)
-    with pytest.raises(ValueError):
-        p_error(1.0)
+    """Both formulas refuse, in the argument policy's form, whatever is not
+    a real number in (0, 1): a string, a bool and NaN included."""
+    cases = [(0.0, "finite and positive"), ("0.1", "finite and positive"),
+             (True, "finite and positive"), (math.nan, "finite and positive"),
+             (1.0, "below 1"), (1.5, "below 1")]
+    for function in (p_error, p_error_tail_oracle):
+        for delta_sq, condition in cases:
+            with pytest.raises(ValueError) as exc:
+                function(delta_sq)
+            assert str(exc.value) == (f"delta_sq must be {condition}, "
+                                      f"got {delta_sq!r}")
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_index_functions_reject_indices_that_are_not_counts(bad):
         neighbors(100, spec)
 
 
+@pytest.mark.parametrize("k, coords, message", [
+    (2, (5, 0, 0, 0), "j1 must be below 4, got 5"),
+    (2, (0, 3, 0, 0), "j2 must be below 3, got 3"),
+    (2, (0, 0, 2, 0), "j3 must be below 2, got 2"),
+    (0, (0, 0, 1, 7), "j4 must be 0 when k = 0, got 7"),
+])
+def test_coords_to_index_rejects_coordinates_off_their_axes(k, coords,
+                                                             message):
+    """Coordinates outside their axes name no lattice point: (5, 0, 0, 0)
+    would take the index of (1, 1, 0, 0), and (0, 0, 1, 7) at k = 0 that
+    of (0, 0, 1, 0).  The time axis, j4 (j3 at k = 0), has no bound."""
+    spec = LatticeSpec(4, 3, k, 100)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        coords_to_index(coords, spec)
+
+
 def test_rhg_split_degree_pattern():
     # interior half-nodes: 3 external Bell links + 1 internal link each
     spec = LatticeSpec(4, 4, 0, 128)
