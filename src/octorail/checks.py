@@ -32,3 +32,11 @@ def require_real(name: str, value, *, positive: bool = False) -> None:
             or not math.isfinite(value) or (positive and value <= 0)):
         condition = "finite and positive" if positive else "finite"
         raise ValueError(f"{name} must be {condition}, got {value!r}")
+
+
+def require_choice(name: str, value, choices):
+    """``value`` if it equals one of ``choices``; ``ValueError`` otherwise."""
+    if value not in tuple(choices):  # by ==, so a list is refused, not hashed
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(f"{name} must be one of {listed}, got {value!r}")
+    return value

@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .checks import require_int
+
 _SQRT2 = 2 ** 0.5
 
 
@@ -58,8 +60,7 @@ class ExactCoeff:
     @classmethod
     def from_half_power(cls, numer, k):
         """Exact value numer / 2^(k/2) with integer numer and k >= 0."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        k = require_int("k", k, 0)
         if k % 2 == 0:
             return _new(numer, 0, 2 ** (k // 2))
         # 1/2^(k/2) = sqrt(2) / 2^((k+1)/2)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import require_int, require_real
+from .checks import require_choice, require_int, require_real
 from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO, solve_exact
 from .networks import SplitterNetwork, build_network, x_rows
 from .phasespace import SymplecticMap, make_rotation, make_shear
@@ -398,8 +398,7 @@ def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
     arity = require_int("arity", arity, 1)
     n_starts = require_int("n_starts", n_starts, 0)
     seed = require_int("seed", seed, 0)
-    if arity not in _ARITY_LEVEL:
-        raise ValueError("arity must be 1, 2 or 4")
+    require_choice("arity", arity, _ARITY_LEVEL)
     net = build_network(_ARITY_LEVEL[arity])
     n = net.n_modes
     tmat = target.matrix

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import require_int, require_real
+from .checks import require_choice, require_int, require_real
 from .gates import _homodyne_delta
 from .phasespace import (SymplecticMap, identity_map, make_rotation,
                          make_squeeze)
@@ -52,13 +52,11 @@ class SqueezingLevel:
 def db_conversion(value: float, direction: str) -> SqueezingLevel:
     """Convert between the quadrature-variance parameter and decibels,
     db = -10*log10(delta_sq)."""
-    if direction == "to-db":
+    if require_choice("direction", direction, ("to-db", "from-db")) == "to-db":
         require_real("delta_sq", value, positive=True)
         return SqueezingLevel(value, -10 * math.log10(value))
-    if direction == "from-db":
-        require_real("db", value)
-        return SqueezingLevel(10 ** (-value / 10), value)
-    raise ValueError("direction must be 'to-db' or 'from-db'")
+    require_real("db", value)
+    return SqueezingLevel(10 ** (-value / 10), value)
 
 
 def _require_below_one(delta_sq) -> None:
@@ -94,6 +92,8 @@ class Encoding:
     alpha: float | None = None
 
     def __post_init__(self):
+        if self.alpha is not None:
+            require_real("alpha", self.alpha, positive=True)
         if not self.u_g.is_symplectic(atol=1e-9):
             raise ValueError("encoding map must be symplectic")
 
@@ -271,6 +271,10 @@ def logical_action(smap: SymplecticMap, encoding: Encoding) -> LogicalAction:
 class Grid:
     dx: float
     half_steps: int
+
+    def __post_init__(self):
+        require_real("dx", self.dx, positive=True)
+        require_int("half_steps", self.half_steps, 1)
 
     @property
     def axis(self) -> np.ndarray:
@@ -511,10 +515,14 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
     sampled from the joint homodyne distribution.  The normalized
     conditional output matches damping . code-projection . damping .
     displacement applied to the input (see :func:`knill_oracle`).
-    ``ValueError`` unless ``delta_sq`` is finite and positive and ``seed``
-    is None or a non-negative integer.
+    ``ValueError`` unless ``delta_sq`` is finite and positive, each forced
+    outcome finite and ``seed`` None or a non-negative integer.
     """
     require_real("delta_sq", delta_sq, positive=True)
+    if forced_outcomes is not None:
+        m1, m2 = forced_outcomes
+        require_real("m1", m1)
+        require_real("m2", m2)
     if seed is not None:
         seed = require_int("seed", seed, 0)
     grid = input_wf.grid
@@ -526,8 +534,6 @@ def knill_step(input_wf: GridWavefunction, delta_sq: float,
         rng = np.random.default_rng(seed)
         weights = _x_marginal(input_at, grid, delta_sq)
         m1 = float(rng.choice(axis, p=weights / weights.sum()))
-    else:
-        m1, m2 = forced_outcomes
     u = (m1 + axis) / s2
     v = (axis - m1) / s2
     block = input_at(u)[:, None] * _bell_amplitude(v, axis[None, :], delta_sq)
@@ -546,7 +552,12 @@ def knill_oracle(input_wf: GridWavefunction, delta_sq: float,
                  m1: float, m2: float) -> GridWavefunction:
     """Closed-form reference for :func:`knill_step`: damping(beta) .
     code-projection . damping(beta) . displacement(mu) with
-    sinh(beta) = delta_sq and mu = -m1 - i*m2 for the (x, p) homodyne pair."""
+    sinh(beta) = delta_sq and mu = -m1 - i*m2 for the (x, p) homodyne pair.
+    ``ValueError`` unless ``delta_sq`` is finite and positive and ``m1``
+    and ``m2`` are finite."""
+    require_real("delta_sq", delta_sq, positive=True)
+    require_real("m1", m1)
+    require_real("m2", m2)
     grid = input_wf.grid
     axis = grid.axis
     beta = math.asinh(delta_sq)

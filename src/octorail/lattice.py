@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .checks import require_int
+from .checks import require_choice, require_int
 
 PLAIN_BELL = "plain-bell"
 HADAMARD_BELL = "hadamard-bell"
@@ -32,8 +32,8 @@ class LatticeSpec:
         require_int("m", self.m, 1)
         require_int("k", self.k, 0)
         require_int("horizon", self.horizon, 1)
-        if self.edge_flavor not in (PLAIN_BELL, HADAMARD_BELL):
-            raise ValueError("unknown edge flavor")
+        require_choice("edge_flavor", self.edge_flavor,
+                       (PLAIN_BELL, HADAMARD_BELL))
 
     @property
     def delays(self):
@@ -43,7 +43,7 @@ class LatticeSpec:
 
 
 def index_to_coords(j: int, spec: LatticeSpec):
-    j = require_int("index", j, 0)
+    j = require_int("j", j, 0)
     n, m, k = spec.n, spec.m, spec.k
     j1 = j % n
     rest = j // n
@@ -74,9 +74,9 @@ def coords_to_index(coords, spec: LatticeSpec) -> int:
 def neighbors(j: int, spec: LatticeSpec):
     """Neighbor list as (neighbor_index, axis, direction); at k = 0 the
     axis-4 entry is the internal self-link (direction 0)."""
-    j = require_int("index", j, 0)
+    j = require_int("j", j, 0)
     if j >= spec.horizon:
-        raise ValueError("index outside horizon")
+        raise ValueError(f"j must be below {spec.horizon}, got {j}")
     out = []
     for axis, d in enumerate(spec.delays, start=1):
         if axis == 4 and spec.k == 0:
@@ -169,9 +169,6 @@ class SplitGraph:
     half_nodes: tuple
     edges: tuple  # ((HalfNode, HalfNode, kind), ...)
 
-    def degree(self, hn: HalfNode) -> int:
-        return sum(hn in e[:2] for e in self.edges)
-
 
 def rhg_view(graph: MacronodeGraph) -> SplitGraph:
     """Split each k=0 macronode into its two 4-mode halves.
@@ -219,12 +216,11 @@ def wiring_variant(kind: str) -> MacronodeGraph:
     """Single-macronode wiring variants: 'multiplexer' feeds 7 inputs and
     keeps one Bell-connected output; 'state-injection' keeps half the
     splitter Bell-connected and opens 4 input ports."""
+    require_choice("kind", kind, ("multiplexer", "state-injection"))
     if kind == "multiplexer":
         ports = tuple(("input", mode) for mode in range(1, 8)) \
             + (("bell-output", 8),)
-    elif kind == "state-injection":
+    else:
         ports = tuple(("bell", mode) for mode in range(1, 5)) \
             + tuple(("input", mode) for mode in range(5, 9))
-    else:
-        raise ValueError("unknown wiring variant")
     return replace(build_lattice(LatticeSpec(1, 1, 1, 1)), ports=ports)

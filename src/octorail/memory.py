@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import require_int, require_real
+from .checks import require_choice, require_int, require_real
 from .gkp import SQRT_PI
 
 # --------------------------------------------------------------------------
@@ -630,8 +630,7 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
     one and the level is finite and above 0 dB.
     """
     distance = require_int("distance", distance, 1)
-    if distance not in (3, 5, 7):
-        raise ValueError("distance must be 3, 5 or 7")
+    require_choice("distance", distance, (3, 5, 7))
     rounds = require_int("rounds", rounds, 1)
     trials = require_int("trials", trials, 1)
     seed = require_int("seed", seed, 0)

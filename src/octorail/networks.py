@@ -27,6 +27,7 @@ class SplitterNetwork:
     level_tags: tuple
 
     def __post_init__(self):
+        require_int("n_modes", self.n_modes, 1)
         for layer in self.layers:
             seen = set()
             for j, k in layer:
@@ -60,6 +61,7 @@ def build_network(level: int) -> SplitterNetwork:
 
 def layer_matrix(layer, n_modes: int) -> ExactMatrix:
     """Exact x-block of one beamsplitter layer."""
+    n_modes = require_int("n_modes", n_modes, 1)
     m = [[ONE if i == j else ZERO for j in range(n_modes)]
          for i in range(n_modes)]
     for j, k in layer:

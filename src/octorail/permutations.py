@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import require_choice
 from .exact import ExactCoeff, ExactMatrix
 from .networks import eightsplitter_sign_form
 
@@ -145,11 +146,10 @@ def _allowed_images_via_sets() -> frozenset:
 def is_allowed(p: ModePermutation, implementation: str = "closure") -> bool:
     """Membership test; 'closure' uses the generator closure, 'sets' the
     transposition-pair products of the seven printed sets."""
+    require_choice("implementation", implementation, ("closure", "sets"))
     if implementation == "closure":
         return p.images in _allowed_images()
-    if implementation == "sets":
-        return p.images in _allowed_images_via_sets()
-    raise ValueError("implementation must be 'closure' or 'sets'")
+    return p.images in _allowed_images_via_sets()
 
 
 def _lex_s8() -> np.ndarray:

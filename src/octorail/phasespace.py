@@ -34,6 +34,7 @@ class SymplecticMap:
     matrix: np.ndarray
 
     def __post_init__(self):
+        require_int("n_modes", self.n_modes, 1)
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         if m.shape != (2 * self.n_modes, 2 * self.n_modes):
@@ -62,6 +63,8 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
+        # 0 is allowed: a homodyne on a one-mode state leaves no modes
+        require_int("n_modes", self.n_modes, 0)
         mu = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "mean", mu)
@@ -110,6 +113,7 @@ def _require_modes(n_modes, **modes) -> None:
 
 
 def identity_map(n_modes: int = 1) -> SymplecticMap:
+    n_modes = require_int("n_modes", n_modes, 1)
     return SymplecticMap(n_modes, np.eye(2 * n_modes))
 
 

@@ -43,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import require_choice
 from .exact import (ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, _new,
                     gauss_jordan)
 # Unused here; perfbench reads the Monte Carlo under these names.  Its
@@ -87,8 +88,7 @@ class MeasurementBasis:
 
 def basis_preset(role: str) -> MeasurementBasis:
     """Measurement angles for one macronode in the given surface-code role."""
-    if role not in _PRESETS:
-        raise ValueError(f"unknown role: {role!r}")
+    require_choice("role", role, _PRESETS)
     return MeasurementBasis(_PRESETS[role], role)
 
 
@@ -344,10 +344,6 @@ def _symbol_vector(coefficients: dict):
     return vec
 
 
-def _target_vector(rel: QuadratureRelation):
-    return _symbol_vector(rel.coefficients)
-
-
 def _leftover(target, raw, rows_m, record):
     """target - raw - sum_d record[m_d] * rows_m[d], symbol by symbol: what
     is left of a relation once the outcome record compensates it."""
@@ -562,7 +558,7 @@ def verify_relation(rel: QuadratureRelation,
     model = macronode_model()
     rows_m = model.measurement_rows(basis)
     raw = model.quadrature_row(rel.output_label)
-    target = _target_vector(rel)
+    target = _symbol_vector(rel.coefficients)
     leftover = _leftover(target, raw, rows_m, rel.displacement)
     if _is_droppable(leftover):
         return RelationCheck(rel, "exact")
@@ -577,13 +573,14 @@ def verify_relation(rel: QuadratureRelation,
 def verify_regrouping(role: str) -> bool:
     """Check that the regrouped forms (via the intermediate p5') agree with
     the direct identities modulo lattice-trivial terms."""
+    require_choice("role", role, _DATA_RELATIONS)
     rels = {r.output_label: r for r in _DATA_RELATIONS[role]}
     p5 = _symbol_vector(_P5_PRIME[role])
     for out in _REGROUPED[role]:
         regrouped = list(p5)
         idx = _sym_index(out)
         regrouped[idx] = regrouped[idx] + SQRT2
-        direct = _target_vector(rels[out])
+        direct = _symbol_vector(rels[out].coefficients)
         if not _is_droppable([a - b for a, b in zip(regrouped, direct)]):
             return False
     return True
@@ -596,8 +593,7 @@ def derive_quadrature_relations(role: str) -> list[RelationCheck]:
     Every check whose ``status`` is not ``"exact"`` carries a diff; callers
     that require bit-exact agreement should treat those as failures.
     """
-    if role not in _DATA_RELATIONS:
-        raise ValueError("role must be 'even-data' or 'odd-data'")
+    require_choice("role", role, _DATA_RELATIONS)
     basis = basis_preset(role)
     return [verify_relation(rel, basis) for rel in _DATA_RELATIONS[role]]
 
@@ -628,8 +624,7 @@ def stabilizer_combination(kind: str):
     Returns a list of (outcome_weights, input_coefficients) pairs, both
     length-8 tuples of ExactCoeff.
     """
-    if kind not in STABILIZERS:
-        raise ValueError(f"unknown stabilizer kind: {kind!r}")
+    require_choice("kind", kind, STABILIZERS)
     s = eightsplitter_matrix()
     combos = []
     for weights, _ in STABILIZERS[kind]:
@@ -649,13 +644,12 @@ def extract_stabilizer(outcomes, kind: str):
     combinations (the reading of the two-ancilla patch rule implemented
     here; flagged as one consistent interpretation).
     """
+    require_choice("kind", kind, (*STABILIZERS, "double", "twist"))
     if kind in ("double", "twist"):
         first, second = outcomes
         a = extract_stabilizer(first, "bulk-X")[0]
         b = extract_stabilizer(second, "bulk-X")[0]
         return [a * b]
-    if kind not in STABILIZERS:
-        raise ValueError(f"unknown stabilizer kind: {kind!r}")
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.shape != (8,):
         raise ValueError("expected 8 outcomes")

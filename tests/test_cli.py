@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from octorail.cli import cli, main, run_verification_suites
+from octorail.lattice import LatticeSpec, build_lattice, surface_layout
 
 
 @pytest.fixture
@@ -143,9 +144,11 @@ def test_perms_check(runner):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["allowed"] and doc["implementations_agree"]
-    result = runner.invoke(cli, ["perms", "check", "(12)"])
-    assert result.exit_code == 0
-    assert not json.loads(result.output)["allowed"]
+    for perm in ("(12)", "2,1,3,4,5,6,7,8"):
+        result = runner.invoke(cli, ["perms", "check", perm])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert not doc["allowed"] and doc["permutation"] == "(12)"
 
 
 def test_perms_cosets_csv_is_the_recorded_table():
@@ -167,6 +170,26 @@ def test_lattice_export_dot(runner, tmp_path):
     nodes = [l for l in text.splitlines()
              if "[label=" in l and "--" not in l]
     assert len(nodes) == 64
+
+
+def test_lattice_export_roles_are_the_surface_layout(runner, tmp_path):
+    path = tmp_path / "g.json"
+    result = runner.invoke(cli, ["lattice", "export", "--n", "4", "--m", "3",
+                                 "--k", "0", "--t", "36", "--roles",
+                                 "--json", str(path)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(path.read_text())
+    layout = surface_layout(build_lattice(LatticeSpec(4, 3, 0, 36)))
+    assert {node["j"]: node["role"] for node in doc["nodes"]} == layout
+
+
+def test_usage_error_is_one_line_with_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "export", "--bogus"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("error: ") and "--bogus" in err, err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_surface_verify_reports_reference_diffs(runner):

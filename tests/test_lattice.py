@@ -86,11 +86,11 @@ def test_index_functions_reject_indices_that_are_not_counts(bad):
     want = "non-negative" if bad == -1 else "an integer"
     for call in (lambda: index_to_coords(bad, spec),
                  lambda: neighbors(bad, spec)):
-        with pytest.raises(ValueError, match=f"^index must be {want}, got "):
+        with pytest.raises(ValueError, match=f"^j must be {want}, got "):
             call()
     with pytest.raises(ValueError, match=f"^j2 must be {want}, got "):
         coords_to_index((1, bad, 0, 0), spec)
-    with pytest.raises(ValueError, match="^index outside horizon$"):
+    with pytest.raises(ValueError, match="^j must be below 100, got 100$"):
         neighbors(100, spec)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import golden
@@ -15,7 +16,7 @@ from octorail.memory import (SQRT_PI, gkp_bin, memory_experiment,
 from octorail.networks import build_network, x_block
 from octorail.surface import (BELL_WIRING, MeasurementBasis,
                               QuadratureRelation, _DATA_RELATIONS, _rel,
-                              _solve_displacement, _target_vector,
+                              _solve_displacement, _symbol_vector,
                               basis_preset, derive_quadrature_relations,
                               extract_stabilizer, macronode_model,
                               stabilizer_combination, sym_label,
@@ -166,7 +167,7 @@ def _perturbed_targets(model):
     for k in range(45):
         rows_m = model.measurement_rows(basis_preset(presets[k % 5]))
         rel = rng.choice(rels)
-        target = _target_vector(rel)
+        target = _symbol_vector(rel.coefficients)
         for _ in range(2):
             c = rng.choice(moves)
             if k % 3 == 0:
@@ -183,7 +184,7 @@ def test_relation_verdicts_match_independent_oracle(record_verdict):
     for role in ("even-data", "odd-data"):
         rows_m = model.measurement_rows(basis_preset(role))
         for rel in _DATA_RELATIONS[role]:
-            args = (_target_vector(rel),
+            args = (_symbol_vector(rel.coefficients),
                     model.quadrature_row(rel.output_label), rows_m)
             where = (role, rel.output_label)
             assert record_verdict(*args) == "derivable", where
@@ -204,13 +205,13 @@ def test_oracle_and_solver_reject_an_underivable_relation(record_verdict):
     basis = basis_preset("even-data")
     zero_record = _relation("even-data", "x2'").displacement
     rel = QuadratureRelation("x2'", {"x2'": HALF_SQRT2}, zero_record)
-    assert _solve_displacement(_target_vector(rel), model.quadrature_row("x2'"),
-                               model.measurement_rows(basis)) is None
+    args = (_symbol_vector(rel.coefficients), model.quadrature_row("x2'"),
+            model.measurement_rows(basis))
+    assert _solve_displacement(*args) is None
     check = verify_relation(rel, basis)
     assert check.status == "underivable"
     assert check.derived_displacement is None and check.diff
-    assert record_verdict(_target_vector(rel), model.quadrature_row("x2'"),
-                          model.measurement_rows(basis)) == "infeasible"
+    assert record_verdict(*args) == "infeasible"
 
 
 def _as_triples(record):
@@ -229,8 +230,8 @@ def _solver_records(role, rows_m, cold):
         if cold:
             surface._record_factor.cache_clear()
         out.append(_as_triples(_solve_displacement(
-            _target_vector(rel), model.quadrature_row(rel.output_label),
-            rows_m)))
+            _symbol_vector(rel.coefficients),
+            model.quadrature_row(rel.output_label), rows_m)))
     return out
 
 
@@ -263,7 +264,7 @@ def test_record_solver_integer_side_cold_and_warm(record_verdict):
     model = macronode_model()
     rows_m = model.measurement_rows(basis_preset("even-data"))
     raw = model.quadrature_row("x1'")
-    target = _target_vector(_relation("even-data", "x1'"))
+    target = _symbol_vector(_relation("even-data", "x1'").coefficients)
     # half a lattice step on x6': the exact parts vanish, but the lattice
     # right-hand side is not integral
     off_lattice = list(target)
@@ -294,7 +295,7 @@ def test_record_solver_pins_records_of_zero_records_cold_and_warm():
             expected = {f"m{d + 1}": HALF_SQRT2 * u
                         for d, u in enumerate(units)}
             derived = _solve_displacement(
-                _target_vector(_relation(role, label)),
+                _symbol_vector(_relation(role, label).coefficients),
                 model.quadrature_row(label),
                 model.measurement_rows(basis_preset(role)))
             assert derived == expected, (role, label, cold)
@@ -361,7 +362,9 @@ def test_stabilizer_boundary_separations():
 def test_stabilizer_combination_rejects_unknown_kind():
     # the two-ancilla kinds are products of bulk-X values, not combinations
     for kind in ("double", "twist", "bulk-Z", ""):
-        with pytest.raises(ValueError, match="unknown stabilizer kind"):
+        with pytest.raises(ValueError, match=re.escape(
+                "kind must be one of 'bulk-X', 'boundary-V', 'boundary-H', "
+                f"got {kind!r}") + "$"):
             stabilizer_combination(kind)
 
 
@@ -371,7 +374,7 @@ def test_record_solver_checks_its_record_with_the_relation_residual(
     # odd multiple of half a lattice step; the final check must refuse it
     model = macronode_model()
     rel = _relation("even-data", "x1'")
-    args = (_target_vector(rel), model.quadrature_row("x1'"),
+    args = (_symbol_vector(rel.coefficients), model.quadrature_row("x1'"),
             model.measurement_rows(basis_preset("even-data")))
     assert _solve_displacement(*args) is not None
     solve = surface._back_substitute
@@ -391,7 +394,9 @@ def test_relation_tables_hold_the_recorded_coefficients():
 
 def test_extract_stabilizer_rejects_unknown_kind():
     for kind in ("bulk-Z", ""):
-        with pytest.raises(ValueError, match="unknown stabilizer kind"):
+        with pytest.raises(ValueError, match=re.escape(
+                "kind must be one of 'bulk-X', 'boundary-V', 'boundary-H', "
+                f"'double', 'twist', got {kind!r}") + "$"):
             extract_stabilizer([0.0] * 8, kind)
 
 
