@@ -11,14 +11,15 @@ import operator
 import numpy as np
 
 
-def require_int(name: str, value, least: int) -> int:
+def require_int(name: str, value, least: int | None) -> int:
     """``value`` as a Python int, after checking that it is an integer (a
-    NumPy one counts, a bool does not) and not below ``least``, 0 or 1;
-    ``ValueError`` naming ``name`` otherwise.  Fixed-width NumPy counts
-    would overflow in the products that callers form from them."""
+    NumPy one counts, a bool does not) and not below ``least``, 0 or 1
+    (None for no bound); ``ValueError`` naming ``name`` otherwise.
+    Fixed-width NumPy counts would overflow in the products that callers
+    form from them."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         bound = "positive" if least == 1 else "non-negative"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return operator.index(value)
@@ -35,8 +36,10 @@ def require_real(name: str, value, *, positive: bool = False) -> None:
 
 
 def require_choice(name: str, value, choices):
-    """``value`` if it equals one of ``choices``; ``ValueError`` otherwise."""
-    if value not in tuple(choices):  # by ==, so a list is refused, not hashed
+    """``value`` if it equals one of ``choices`` and is of that choice's
+    type; ``ValueError`` otherwise.  The type is checked before ``==``, so
+    a list or a NumPy array is refused, not hashed or compared elementwise."""
+    if not any(isinstance(value, type(c)) and value == c for c in choices):
         listed = ", ".join(map(repr, choices))
         raise ValueError(f"{name} must be one of {listed}, got {value!r}")
     return value

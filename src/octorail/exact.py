@@ -58,8 +58,9 @@ class ExactCoeff:
         return Fraction(self.q, self.d)
 
     @classmethod
-    def from_half_power(cls, numer, k):
+    def from_half_power(cls, numer: int, k: int):
         """Exact value numer / 2^(k/2) with integer numer and k >= 0."""
+        numer = require_int("numer", numer, None)
         k = require_int("k", k, 0)
         if k % 2 == 0:
             return _new(numer, 0, 2 ** (k // 2))
@@ -198,7 +199,8 @@ class ExactMatrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, n):
+    def identity(cls, n: int):
+        n = require_int("n", n, 0)
         return cls([[ONE if i == j else ZERO for j in range(n)]
                     for i in range(n)])
 

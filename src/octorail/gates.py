@@ -11,9 +11,12 @@ outcomes m form the right-hand side.  The solution is the output as a
 linear map of the inputs (the induced symplectic gate) plus a linear map
 of the outcomes (the displacement rule).  Angles that are multiples of
 pi/4 are solved exactly over Q(sqrt2), others in floating point; both
-build the system with the same function.  The angle search solves the
+build the system with the same function, and one function solves every
+floating-point batch of systems.  The angle search solves the
 floating-point system for a whole batch of angle vectors at once, with its
-derivative in closed form.
+derivative in closed form, and scores all its results in one more batch:
+a result with an angle off the multiples of pi/4 gets the float that
+induced_gate would give, and only the others go through the exact path.
 """
 
 from __future__ import annotations
@@ -131,6 +134,19 @@ def _detector_system(sx, wiring, cos, sin):
     return m, rhs
 
 
+def _solve_float(m, rhs):
+    """Solve a batch of float detector systems M X = R in one call.
+
+    A system with |det M| < 1e-12 is singular, and :func:`induced_gate`
+    refuses it; the identity takes the place of its M (in place), so its X
+    is a finite placeholder.  Returns X, shape (batch, n, 2n), and the mask
+    of the regular systems.
+    """
+    regular = np.abs(np.linalg.det(m)) >= 1e-12
+    m[~regular] = np.eye(m.shape[-1])
+    return np.linalg.solve(m, rhs), regular
+
+
 def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGate:
     """Gate induced on the teleported modes by measuring the network outputs
     at the given homodyne angles, with ideal Bell-pair ancillas.
@@ -163,10 +179,11 @@ def induced_gate(network: SplitterNetwork, angles, wiring=None) -> TeleportedGat
     m, rhs = _detector_system(sx, wiring, np.array([cos], sx.dtype),
                               np.array([sin], sx.dtype))
     if sx.dtype != object:
-        if abs(np.linalg.det(m[0])) < 1e-12:
+        out, regular = _solve_float(m, rhs)
+        if not regular[0]:
             raise NonImplementableGateError("singular constraint system")
-        out = np.linalg.solve(m[0], rhs[0])
-        return TeleportedGate(SymplecticMap(k, out[:, :n]), out[:, n:], wiring)
+        return TeleportedGate(SymplecticMap(k, out[0, :, :n]), out[0, :, n:],
+                              wiring)
     try:
         out = solve_exact(ExactMatrix(m[0].tolist()),
                           ExactMatrix(rhs[0].tolist())).rows
@@ -296,25 +313,23 @@ def _gate_residuals(sx, target, theta):
 
     With M X = R the detector system, X = M^-1 R, and only row d of M and
     R depends on t_d, so dX/dt_d = M^-1[:, d] (dR_d - dM_d X).  dM_d and
-    dR_d are rows d of the system at t + pi/2.  One batched solve against
-    [R | I] gives both X and M^-1.  Returns residuals (batch, n*n),
-    Jacobian (batch, n*n, n) and a mask of the vectors whose M has
-    |det| >= 1e-12, as in :func:`induced_gate`; the others carry finite
-    placeholder values.
+    dR_d are rows d of the system at t + pi/2, built in the same call as
+    the system at t.  One batched solve against [R | I] gives both X and
+    M^-1.  Returns residuals (batch, n*n), Jacobian (batch, n*n, n) and a
+    mask of the vectors whose M has |det| >= 1e-12, as in
+    :func:`induced_gate`; the others carry finite placeholder values.
     """
-    n = sx.shape[0]
-    wiring = _default_wiring(n)
-    m, rhs = _detector_system(sx, wiring, np.cos(theta), np.sin(theta))
-    ok = np.abs(np.linalg.det(m)) >= 1e-12
-    m[~ok] = np.eye(n)
-    sol = np.linalg.solve(m, rhs)
+    n, b = sx.shape[0], len(theta)
+    cos, sin = np.cos(theta), np.sin(theta)
+    m, rhs = _detector_system(sx, _default_wiring(n),
+                              np.concatenate([cos, -sin]),
+                              np.concatenate([sin, cos]))
+    sol, ok = _solve_float(m[:b], rhs[:b])
     x, m_inv = sol[..., :n], sol[..., n:]
-    dm, drhs = _detector_system(sx, wiring, -np.sin(theta), np.cos(theta))
-    v = drhs[..., :n] - dm @ x  # row d: dR_d - dM_d X
+    v = rhs[b:, :, :n] - m[b:] @ x  # row d: dR_d - dM_d X
     resid = x - target
     jac = np.einsum("bid,bdj->bijd", m_inv, v)
-    return (resid.reshape(len(theta), n * n),
-            jac.reshape(len(theta), n * n, n), ok)
+    return resid.reshape(b, n * n), jac.reshape(b, n * n, n), ok
 
 
 def _levenberg_marquardt(sx, target, starts):
@@ -372,6 +387,37 @@ def _levenberg_marquardt(sx, target, starts):
     return theta
 
 
+def _scores(network, target, candidates):
+    """max |G(angles) - target| for each angle vector in ``candidates``,
+    inf where :func:`induced_gate` refuses the vector as singular.
+
+    A vector whose every angle is a multiple of pi/4 goes through
+    :func:`induced_gate`'s exact path.  All the others are solved in one
+    batch by :func:`_solve_float`, with cos and sin from ``math`` as
+    :func:`induced_gate` takes them, so each score is the float that
+    :func:`induced_gate` would give.
+    """
+    n = network.n_modes
+    exact = np.array([None not in map(_eighth_multiple, ang)
+                      for ang in candidates], dtype=bool)
+    rest = [ang for ang, e in zip(candidates, exact) if not e]
+    cos = np.array([[math.cos(t) for t in ang] for ang in rest]).reshape(-1, n)
+    sin = np.array([[math.sin(t) for t in ang] for ang in rest]).reshape(-1, n)
+    m, rhs = _detector_system(_float_x_block(network), _default_wiring(n),
+                              cos, sin)
+    out, regular = _solve_float(m, rhs)
+    scores = np.full(len(candidates), math.inf)
+    scores[np.flatnonzero(~exact)[regular]] = np.abs(
+        out[regular, :, :n] - target).max(axis=(1, 2))
+    for i in np.flatnonzero(exact):
+        try:
+            gate = induced_gate(network, candidates[i]).induced_map.matrix
+        except NonImplementableGateError:
+            continue
+        scores[i] = np.abs(gate - target).max()
+    return scores.tolist()
+
+
 def _wrapped(theta: float) -> float:
     """theta mod pi in [-pi/2, pi/2], put exactly on k*pi/4 where
     :func:`induced_gate` would solve it as that multiple."""
@@ -389,9 +435,12 @@ def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
     run at once through one batched Levenberg-Marquardt search on the
     residual G(angles) - target, with the Jacobian in closed form from the
     detector system.  Each result is wrapped mod pi (an angle within
-    1e-12*pi/4 of a multiple of pi/4 is put on it) and evaluated by
-    :func:`induced_gate`; among those below residual 1e-9 the smallest
-    l2-norm angle vector wins, the first start on a tie.  A residual above
+    1e-12*pi/4 of a multiple of pi/4 is put on it) and scored by
+    :func:`_scores` as max |G - target|: the results with an angle off the
+    multiples of pi/4 in one batched float solve, each score the float
+    that :func:`induced_gate` gives, and the others by
+    :func:`induced_gate`'s exact path.  Among those below residual 1e-9
+    the smallest l2-norm angle vector wins, the first start on a tie.  A residual above
     1e-6 is reported as not reachable (which is not a proof of
     impossibility).
     """
@@ -413,14 +462,9 @@ def solve_angles(target: SymplecticMap, arity: int, n_starts: int = 40,
     starts += [rng.uniform(-math.pi / 2, math.pi / 2, n)
                for _ in range(n_starts)]
     found = _levenberg_marquardt(_float_x_block(net), tmat, starts)
+    candidates = [[_wrapped(a) for a in x] for x in found]
     best = None
-    for x in found:
-        ang = [_wrapped(a) for a in x]
-        try:
-            gate = induced_gate(net, ang).induced_map.matrix
-            r = float(np.abs(gate - tmat).max())
-        except NonImplementableGateError:
-            r = math.inf
+    for ang, r in zip(candidates, _scores(net, tmat, candidates)):
         key = (r > 1e-9, r if r > 1e-9 else 0.0, float(np.linalg.norm(ang)))
         if best is None or key < best[0]:
             best = (key, ang, r)

@@ -75,6 +75,7 @@ class GaussianState:
 
     @classmethod
     def vacuum(cls, n_modes: int) -> "GaussianState":
+        n_modes = require_int("n_modes", n_modes, 0)
         return cls(n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
     def is_physical(self) -> bool:

@@ -12,7 +12,7 @@ from octorail.gates import (_EIGHTH, FOURIER, DegenerateMeasurementError,
                             GATE_TABLES, NonImplementableGateError,
                             _eighth_multiple, _float_x_block,
                             _gate_residuals, _levenberg_marquardt,
-                            displacement_mu, induced_gate, solve_angles,
+                            _scores, _wrapped, displacement_mu, induced_gate, solve_angles,
                             teleported_gate_v, verify_gate_tables)
 from octorail.networks import build_network, x_rows
 from octorail.phasespace import SymplecticMap, make_rotation, make_shear
@@ -209,6 +209,36 @@ def test_singular_start_is_left_where_it_stands():
     assert found[0].tolist() == starts[0]
     gate = induced_gate(net, found[1]).induced_map.matrix
     assert np.abs(gate - FOURIER.matrix).max() <= 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_batched_scores_equal_induced_gate_scores(level):
+    """solve_angles scores its candidates in one batched solve; each score
+    is the float that induced_gate gives, and inf where it refuses."""
+    net = build_network(level)
+    n = net.n_modes
+    rng = np.random.default_rng(41 + level)
+    target = rng.normal(size=(n, n))
+    candidates = [[_wrapped(a) for a in x]
+                  for x in rng.uniform(-math.pi, math.pi, (200, n))]
+    equal_pair = candidates[0][:]
+    equal_pair[1] = equal_pair[0]  # theta2 = theta1: a singular system
+    mixed = candidates[1][:]
+    mixed[::2] = [math.pi / 4] * (n // 2)
+    candidates += [equal_pair, mixed, [0.0, math.pi / 2] * (n // 2),
+                   [0.0] * n]  # the last two take the exact path
+    want = []
+    for ang in candidates:
+        try:
+            gate = induced_gate(net, ang).induced_map.matrix
+        except NonImplementableGateError:
+            want.append(math.inf)
+            continue
+        want.append(float(np.abs(gate - target).max()))
+    got = _scores(net, target, candidates)
+    assert got == want
+    assert [got[-4], got[-1]] == [math.inf, math.inf]
+    assert math.isfinite(got[-2])
 
 
 def test_gate_tables_structure():
