@@ -122,7 +122,15 @@ class MacronodeGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "MacronodeGraph":
-        doc = json.loads(text)
+        """The graph that ``to_json`` wrote as ``text``; ``ValueError`` if
+        ``text`` is not a string or does not parse as JSON."""
+        if not isinstance(text, str):
+            raise ValueError(f"text must be a string, got {text!r}")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise ValueError(f"text must be a JSON document, got {text!r}"
+                             ) from None
         spec = LatticeSpec(**doc["spec"])
         nodes = tuple(nd["j"] for nd in doc["nodes"])
         coords = {nd["j"]: tuple(nd["coords"]) for nd in doc["nodes"]}

@@ -1,13 +1,15 @@
 """Monte Carlo memory experiment on one check sector of the rotated surface
 code, with an analog-weighted matching decoder.
 
-``memory_experiment`` derives one ``NoiseModel`` per run.  Then, block by
-block, it samples and bins each trial's row of shifts (``gkp_bin``),
-reduces the flips to defects (``_defects``) and decodes the trials that
-have any (``_corrections``).  Design inspiration, with no code taken: Stim
-(Gidney, Quantum 2021) samples detection events apart from decoding, and
-PyMatching (Higgott, ACM TQC 2022) takes a matching graph built once from
-the noise model.
+``memory_experiment`` is the accounting: it derives one ``NoiseModel`` per
+run from the squeezing level (``NoiseModel.from_db``) and counts the
+failures that ``_failures`` simulates at those noise scales.  Block by
+block, ``_failures`` samples and bins each trial's row of shifts
+(``gkp_bin``), reduces the flips to defects (``_defects``) and decodes the
+trials that have any (``_corrections``).  Design inspiration, with no code
+taken: Stim (Gidney, Quantum 2021) samples detection events apart from
+decoding, and PyMatching (Higgott, ACM TQC 2022) takes a matching graph
+built once from the noise model.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class NoiseModel:
 
     @classmethod
     def from_db(cls, squeezing_db) -> NoiseModel:
-        """The phenomenological model at a squeezing level: each
+        """The phenomenological model at a squeezing level, and the one
+        map in the package from a level to noise scales: each
         teleportation hop adds a shift of variance 2 * (delta^2 / 2); a data
         qubit takes two hops per round, a readout one.  ``ValueError``
         unless the level is a finite real number above 0 dB."""
@@ -555,8 +558,6 @@ def _slices(counts, n_nodes):
         lo = hi
 
 
-
-
 def _defects(flips, dg: _DecodingGraph):
     """The space-time defects and the true logical parity of a block of
     trials, from their binned flips: one row per trial, its qubit flips
@@ -617,25 +618,13 @@ def _corrections(weights, grid, dg: _DecodingGraph) -> np.ndarray:
     return np.array(parities, dtype=int)
 
 
-def memory_experiment(distance: int, squeezing_db: float, rounds: int,
-                      trials: int, seed: int) -> MemoryResult:
-    """Phenomenological memory experiment on one check sector of the
-    rotated surface code at ``squeezing_db``: ``trials`` trials of
-    ``rounds`` noisy rounds and a noiseless final readout, drawn from
-    ``default_rng(seed)``.  Returns the failures, their rate and its 95 %
-    Wilson interval.  The result depends on the arguments alone, not on
-    how trials are blocked or sliced.  NumPy integer counts are used, and
-    echoed, as Python ints.  ``ValueError`` unless the distance is 3, 5 or
-    7, rounds and trials are positive integers, the seed is a non-negative
-    one and the level is finite and above 0 dB.
-    """
-    distance = require_int("distance", distance, 1)
-    require_choice("distance", distance, (3, 5, 7))
-    rounds = require_int("rounds", rounds, 1)
-    trials = require_int("trials", trials, 1)
-    seed = require_int("seed", seed, 0)
-    noise = NoiseModel.from_db(squeezing_db)
-
+def _failures(noise: NoiseModel, distance: int, rounds: int, trials: int,
+              seed: int) -> int:
+    """The failures of ``trials`` trials at ``noise``, each of ``rounds``
+    noisy rounds and a noiseless final readout, drawn from
+    ``default_rng(seed)``: ``memory_experiment``'s simulation, on
+    arguments that it has checked.  The count does not depend on how
+    trials are blocked or sliced."""
     dg = _decoding_graph(distance, rounds)
     scale = noise.columns(dg)
     rng = np.random.default_rng(seed)
@@ -650,8 +639,29 @@ def memory_experiment(distance: int, squeezing_db: float, rounds: int,
         parity[decoded] ^= _corrections(_flip_weights(resid[decoded], scale),
                                         grid[decoded], dg)
         failures += int(parity.sum())
+    return failures
 
-    rate = failures / trials
+
+def memory_experiment(distance: int, squeezing_db: float, rounds: int,
+                      trials: int, seed: int) -> MemoryResult:
+    """Phenomenological memory experiment on one check sector of the
+    rotated surface code at ``squeezing_db``: ``trials`` trials of
+    ``rounds`` noisy rounds and a noiseless final readout, drawn from
+    ``default_rng(seed)`` at the noise scales of ``NoiseModel.from_db``
+    (``_failures``).  Returns the failures, their rate and its 95 %
+    Wilson interval.  The result depends on the arguments alone, not on
+    how trials are blocked or sliced.  NumPy integer counts are used, and
+    echoed, as Python ints.  ``ValueError`` unless the distance is 3, 5 or
+    7, rounds and trials are positive integers, the seed is a non-negative
+    one and the level is finite and above 0 dB.
+    """
+    distance = require_int("distance", distance, 1)
+    require_choice("distance", distance, (3, 5, 7))
+    rounds = require_int("rounds", rounds, 1)
+    trials = require_int("trials", trials, 1)
+    seed = require_int("seed", seed, 0)
+    noise = NoiseModel.from_db(squeezing_db)
+    failures = _failures(noise, distance, rounds, trials, seed)
     ci_low, ci_high = wilson_interval(failures, trials)
     return MemoryResult(distance, squeezing_db, rounds, trials, failures,
-                        rate, ci_low, ci_high, seed)
+                        failures / trials, ci_low, ci_high, seed)

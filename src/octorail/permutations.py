@@ -55,6 +55,8 @@ class ModePermutation:
         """Parse cycle notation such as '(12)(56)' or '(1 2)(5 6)'.  Only
         whitespace may stand between cycles, and only the digits 1-8 and
         spaces inside one; '()' is the identity."""
+        if not isinstance(text, str):
+            raise ValueError(f"text must be a string, got {text!r}")
         if not re.fullmatch(r"\s*(\([1-8 ]*\)\s*)*", text):
             raise ValueError(f"cannot parse cycle notation: {text!r}")
         images = list(range(1, 9))

@@ -642,11 +642,15 @@ def extract_stabilizer(outcomes, kind: str):
     ``boundary-V``, ``boundary-H``) and a pair of 8-vectors for ``double``
     and ``twist``, whose value is the product of the two ancillas' bulk
     combinations (the reading of the two-ancilla patch rule implemented
-    here; flagged as one consistent interpretation).
+    here; flagged as one consistent interpretation).  ``ValueError``
+    unless ``outcomes`` has that shape.
     """
     require_choice("kind", kind, (*STABILIZERS, "double", "twist"))
     if kind in ("double", "twist"):
-        first, second = outcomes
+        try:
+            first, second = outcomes
+        except (TypeError, ValueError):
+            raise ValueError("expected a pair of 8-outcome vectors") from None
         a = extract_stabilizer(first, "bulk-X")[0]
         b = extract_stabilizer(second, "bulk-X")[0]
         return [a * b]

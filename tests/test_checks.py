@@ -8,10 +8,10 @@ import pytest
 
 import octorail
 from octorail import (ExactCoeff, ExactMatrix, GaussianState, Grid,
-                      GridWavefunction, LatticeSpec, MeasurementBasis,
-                      ModePermutation, SplitterNetwork, SqueezingLevel,
-                      SymplecticMap, build_lattice, build_network,
-                      cancel_layer, decompose_rpr, default_grid,
+                      GridWavefunction, LatticeSpec, MacronodeGraph,
+                      MeasurementBasis, ModePermutation, SplitterNetwork,
+                      SqueezingLevel, SymplecticMap, build_lattice,
+                      build_network, cancel_layer, decompose_rpr, default_grid,
                       extract_stabilizer, fine_grid, identity_map,
                       induced_gate, knill_step, make_beamsplitter, make_cz,
                       make_qunaught, memory_experiment, solve_angles,
@@ -92,6 +92,8 @@ VALID_CALLS = {
     "GaussianState.vacuum": dict(n_modes=1),
     "Grid": dict(dx=0.1, half_steps=10),
     "LatticeSpec": dict(n=4, m=3, k=2, horizon=100),
+    "MacronodeGraph.from_json": dict(
+        text=build_lattice(LatticeSpec(3, 3, 1, 9)).to_json()),
     "SplitterNetwork": dict(n_modes=2, layers=(((0, 1),),),
                             level_tags=("DRL",)),
     "SqueezingLevel": dict(delta_sq=0.1, db=10.0),
@@ -156,8 +158,9 @@ EXEMPT = {
     "GaussianState.mean": "array",
     "GaussianState.covariance": "array",
     "GridWavefunction.amplitudes": "array, checked against the grid size",
-    "MacronodeGraph.from_json.text": "JSON document, as to_json writes it",
-    "ModePermutation.from_cycles.text": "cycle notation, refused unparsed",
+    "ModePermutation.from_cycles.text": (
+        "a string it cannot parse reads 'cannot parse cycle notation', "
+        "which tests/test_cli.py pins"),
     "SymplecticMap.matrix": "array, checked against the mode count",
     "TeleportedGate.displacement_rule": "array built by induced_gate",
     "cancel_layer.angles": "array of angles, counted against the modes",
@@ -290,6 +293,10 @@ REFUSALS = [
     ("layout-small",
      lambda: surface_layout(build_lattice(LatticeSpec(2, 2, 0, 8))),
      "lattice too small for a surface-code patch"),
+    ("json-type", lambda: MacronodeGraph.from_json(1),
+     "text must be a string, got 1"),
+    ("json-parse", lambda: MacronodeGraph.from_json("nonsense"),
+     "text must be a JSON document, got 'nonsense'"),
     # memory
     ("distance-choice", lambda: memory_experiment(2, 10.0, 1, 1, 0),
      "distance must be one of 3, 5, 7, got 2"),
@@ -302,6 +309,8 @@ REFUSALS = [
     # permutations
     ("bijection", lambda: ModePermutation((1, 1, 3, 4, 5, 6, 7, 8)),
      "images must be a bijection on 1..8"),
+    ("cycles-type", lambda: ModePermutation.from_cycles(1),
+     "text must be a string, got 1"),
     # phasespace
     ("map-shape", lambda: SymplecticMap(2, np.eye(2)),
      "matrix shape does not match mode count"),
@@ -331,6 +340,8 @@ REFUSALS = [
      "coefficient outside the documented set"),
     ("outcome-count", lambda: extract_stabilizer([0.0] * 7, "bulk-X"),
      "expected 8 outcomes"),
+    ("outcome-pair", lambda: extract_stabilizer([0.0] * 8, "double"),
+     "expected a pair of 8-outcome vectors"),
 ]
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import golden
 import pytest
@@ -453,3 +456,29 @@ def test_suite_has_enough_identities():
             assert detail in (None, entry["detail"]), entry
         start += len(details)
     assert start == len(report)
+
+
+def test_readme_cli_lines_run(capsys, tmp_path, monkeypatch):
+    """Every line of the README's CLI block is an ``octorail`` command, and
+    each exits 0 when run through ``cli.main``, in that order, in an empty
+    directory that holds the README's ``cfg.json``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                if "octorail " in b]
+    (config,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(config)
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines()]
+    assert all(argv[0] == "octorail" for argv in commands)
+    ran = 0
+    for argv in commands:
+        try:
+            main(argv[1:])
+        except SystemExit as exc:
+            pytest.fail(f"{shlex.join(argv)} exited {exc.code}: "
+                        f"{capsys.readouterr().err}")
+        ran += 1
+    assert ran == len(commands) == 13
+    written = {"cosets.csv", "lattice.dot", "out.csv", "probe.csv"}
+    assert written <= {p.name for p in tmp_path.iterdir()}

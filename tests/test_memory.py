@@ -1,13 +1,20 @@
 """Tests of the stages of octorail.memory, the Monte Carlo memory
 experiment, against written-out oracles.
 
+``NoiseModel.from_db`` alone maps a squeezing level to the noise scales,
+and only ``test_noise_model_from_db`` tests that map, against the
+variances written out in it.  Every other test runs the stages at fixed
+scales, float literals in ``_SCALES``, and the simulation through
+``memory._failures``, so a change to the dB accounting moves no stage
+test.
+
 Every stage that a test watches is wrapped by one recorder, ``_calls``.
-The oracles are written out once each: the noise (``_noise``), the
-syndrome loop (``_syndrome_loop``), a per-trial simulator on the program's
-normal stream (``_per_trial_oracle``), the space-time graph and its
-boundary scan (``_scan_oracle``), and the earlier pair scan and
-set-ordered DP of the matcher.  The tests of memory's entry points as a
-caller sees them (``gkp_bin``, ``wilson_interval`` and the results of
+The oracles are written out once each: the syndrome loop
+(``_syndrome_loop``), a per-trial simulator on the program's normal stream
+(``_per_trial_oracle``), the space-time graph and its boundary scan
+(``_scan_oracle``), and the earlier pair scan and set-ordered DP of the
+matcher.  The tests of memory's entry points as a caller sees them
+(``gkp_bin``, ``wilson_interval`` and the results of
 ``memory_experiment``, the seeded ones among them) are in
 ``tests/test_surface.py``; they watch no stage.
 """
@@ -20,8 +27,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octorail import memory, surface
-from octorail.memory import (SQRT_PI, NoiseModel, _corrections, _defects,
-                             memory_experiment)
+from octorail.memory import SQRT_PI, NoiseModel, _corrections, _defects
+
+#: The noise scales of the stage tests, (sigma, sigma_m) as float literals.
+#: Each is labelled by the squeezing level at which sigma^2 = 2 Delta^2 and
+#: sigma_m^2 = Delta^2 give it; the tests read the scales, never the level.
+_SCALES = {
+    "7.0": NoiseModel(0.6317059941094243, 0.44668359215096315),
+    "8.0": NoiseModel(0.5630085598747346, 0.39810717055349726),
+    "9.0": NoiseModel(0.5017819071656864, 0.35481338923357547),
+    "10.0": NoiseModel(0.4472135954999579, 0.31622776601683794),
+    "11.0": NoiseModel(0.3985795365355029, 0.28183829312644537),
+    "12.0": NoiseModel(0.3552343858581805, 0.251188643150958),
+    "13.0": NoiseModel(0.3166029796534683, 0.22387211385683395),
+}
 
 
 def _calls(mp, name, module=memory):
@@ -37,14 +56,6 @@ def _calls(mp, name, module=memory):
 
     mp.setattr(module, name, record)
     return calls
-
-
-def _noise(db):
-    """(sigma, sigma_m) at a squeezing level, written out: each
-    teleportation hop adds variance 2 * (delta^2 / 2) = delta^2; a data
-    qubit takes two hops per round, a readout one."""
-    delta_sq = 10 ** (-db / 10)
-    return math.sqrt(2 * delta_sq), math.sqrt(delta_sq)
 
 
 def _syndrome_loop(row, rounds, stabs, cut):
@@ -88,7 +99,12 @@ def test_surface_aliases_are_the_memory_functions():
 
 @pytest.mark.parametrize("db", [3.0, 7.0, 9.75, 11, 13.0, 40.0])
 def test_noise_model_from_db(db):
-    sigma, sigma_m = _noise(db)
+    """The one test of the map from a squeezing level to the noise scales,
+    written out: each teleportation hop adds variance
+    2 * (delta^2 / 2) = delta^2; a data qubit takes two hops per round, a
+    readout one."""
+    delta_sq = 10 ** (-db / 10)
+    sigma, sigma_m = math.sqrt(2 * delta_sq), math.sqrt(delta_sq)
     noise = NoiseModel.from_db(db)
     assert noise.sigma == pytest.approx(sigma, rel=1e-15)
     assert noise.sigma_m == pytest.approx(sigma_m, rel=1e-15)
@@ -139,9 +155,9 @@ def test_decoding_graph_is_built_once_per_shape(monkeypatch):
             array.flat[0] = array.flat[0]
     layouts = _calls(monkeypatch, "_rotated_layout")
     memory._decoding_graph.cache_clear()
-    args = (5, 11.0, 3, 300, 2)
-    cold = memory_experiment(*args)
-    assert [memory_experiment(*args) for _ in range(3)] == [cold] * 3
+    args = (_SCALES["11.0"], 5, 3, 300, 2)
+    cold = memory._failures(*args)
+    assert [memory._failures(*args) for _ in range(3)] == [cold] * 3
     assert [a for a, _ in layouts] == [(5,)]
 
 
@@ -163,9 +179,9 @@ def test_defects_equal_a_loop_over_rounds(distance, rounds):
         assert (got, bit) == _syndrome_loop(row, rounds, stabs, cut)
 
 
-def _per_trial_oracle(distance, db, rounds, trials, seed):
-    """Each trial of memory_experiment(distance, db, rounds, trials, seed)
-    by plain loops, on the same standard_normal stream: one row per trial,
+def _per_trial_oracle(distance, noise, rounds, trials, seed):
+    """Each trial of _failures(noise, distance, rounds, trials, seed) by
+    plain loops, on the same standard_normal stream: one row per trial,
     its qubit shifts (round by round) first, then its readout shifts, each
     binned alone to the nearest multiple of sqrt(pi).  Yields the trial's
     flip row, its defect node ids and its true cut parity
@@ -175,8 +191,8 @@ def _per_trial_oracle(distance, db, rounds, trials, seed):
     assert sorted(adjacency) == list(range(n_qubits))
     assert all(len(members) in (2, 4) for members in stabs)
     assert sorted(cut_qubits) == [r * distance for r in range(distance)]
-    sigma, sigma_m = _noise(db)
-    scale = [sigma] * (rounds * n_qubits) + [sigma_m] * (rounds * n_stabs)
+    scale = ([noise.sigma] * (rounds * n_qubits)
+             + [noise.sigma_m] * (rounds * n_stabs))
     root_pi = math.sqrt(math.pi)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -198,11 +214,11 @@ def test_memory_trials_match_the_per_trial_oracle(monkeypatch, distance,
     oracle's true parities of the defect-free trials plus, for each decoded
     trial, its true parity XOR the correction parity decode_matching
     returned."""
-    db, trials, seed = 12.0, 300, 700 + 10 * distance + rounds
-    oracle = list(_per_trial_oracle(distance, db, rounds, trials, seed))
+    noise, trials, seed = _SCALES["12.0"], 300, 700 + 10 * distance + rounds
+    oracle = list(_per_trial_oracle(distance, noise, rounds, trials, seed))
     binned = _calls(monkeypatch, "gkp_bin")
     decoded = _calls(monkeypatch, "decode_matching")
-    result = memory_experiment(distance, db, rounds, trials, seed)
+    failures = memory._failures(noise, distance, rounds, trials, seed)
     assert len(binned) == 2  # one call per block
     assert np.array_equal(np.concatenate([flips for _, (flips, _) in binned]),
                           [flips for flips, _, _ in oracle])
@@ -210,7 +226,7 @@ def test_memory_trials_match_the_per_trial_oracle(monkeypatch, distance,
     assert [list(a[0]) for a, _ in decoded] == [t[1] for t in with_defects]
     want = sum(t[2] for t in oracle if not t[1]) + sum(
         t[2] ^ parity for t, (_, (_, parity)) in zip(with_defects, decoded))
-    assert result.failures == want
+    assert failures == want
     assert 0 < len(decoded) < trials  # both kinds of trial occur
 
 
@@ -248,12 +264,12 @@ def test_flip_weights_equal_the_written_out_sums():
 
 @pytest.mark.parametrize("flip", ["program", "llr"])
 @pytest.mark.parametrize("distance", [3, 5, 7])
-@pytest.mark.parametrize("db", [7.0, 10.0, 13.0])
-def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
+@pytest.mark.parametrize("label", ["7.0", "10.0", "13.0"])
+def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, label,
                                                 flip):
     """A block's flip weights come from one call on exactly its decoded
     trials' residuals, with the scale sigma on the rounds x d^2 qubit
-    columns and sigma_m on the readout columns (``_noise``); the weight
+    columns and sigma_m on the readout columns; the weight
     rows its slices see are bit for bit each trial's own qubit weights and
     readout weights; and no slice's sources times nodes exceeds
     _SLICE_ENTRIES unless it is one trial.  The program's weights are all
@@ -261,7 +277,8 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     stand-in shows a row landing on the wrong trial.  A budget of 2^12
     entries gives every case several slices."""
     rounds, trials, seed = 3, 250, 40 + distance  # one block
-    sigma, sigma_m = _noise(db)
+    noise = _SCALES[label]
+    sigma, sigma_m = noise.sigma, noise.sigma_m
     n_q = rounds * distance * distance
     if flip == "llr":
         monkeypatch.setattr(memory, "_flip_weights", _llr_weights)
@@ -273,10 +290,10 @@ def test_block_weight_rows_equal_per_trial_rows(monkeypatch, distance, db,
     monkeypatch.setattr(memory, "_SLICE_ENTRIES", 1 << 12)
     # only the weights are under test: skip the matching
     monkeypatch.setattr(memory, "decode_matching", lambda *args: ([], 0))
-    memory_experiment(distance, db, rounds, trials, seed)
+    memory._failures(noise, distance, rounds, trials, seed)
     ((_, (_, resid)),) = binned
     decoded = [bool(defects) for _, defects, _
-               in _per_trial_oracle(distance, db, rounds, trials, seed)]
+               in _per_trial_oracle(distance, noise, rounds, trials, seed)]
     (((call_resid, scale), _),) = weighed
     assert np.array_equal(call_resid, resid[decoded])
     n_cols = resid.shape[1]
@@ -301,7 +318,7 @@ def test_corrections_decode_each_trial_as_a_slice_of_its_own(monkeypatch):
     see one another's weights."""
     distance, rounds = 5, 3
     dg = memory._decoding_graph(distance, rounds)
-    scale = NoiseModel.from_db(9.0).columns(dg)
+    scale = _SCALES["9.0"].columns(dg)
     rng = np.random.default_rng(12)
     flips, _ = memory.gkp_bin(rng.standard_normal((200, len(scale)))
                               * scale)
@@ -824,9 +841,10 @@ def _decode(defects, graph, crossing):
 
 
 @pytest.mark.parametrize("flip", ["program", "llr"])
-@pytest.mark.parametrize("distance,db", [(3, 7.0), (5, 11.0), (7, 13.0)])
+@pytest.mark.parametrize("distance,label",
+                         [(3, "7.0"), (5, "11.0"), (7, "13.0")])
 @pytest.mark.parametrize("budget", ["default", "one trial"])
-def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
+def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, label,
                                               budget, flip):
     """Each trial's distances and boundary distances, read off its slice's
     one Dijkstra on the block-diagonal graph, are those of a Dijkstra on a
@@ -848,7 +866,7 @@ def test_slice_paths_equal_per_trial_dijkstra(monkeypatch, distance, db,
     boundary_edges = edges[3]
     graphs = _calls(monkeypatch, "_slice_graph")
     slices = _calls(monkeypatch, "_slice_paths")
-    memory_experiment(distance, db, rounds, 150, distance)
+    memory._failures(_SCALES[label], distance, rounds, 150, distance)
     sizes = [len(counts) for (_, _, _, counts), _ in slices]
     if budget == "one trial":
         assert set(sizes) == {1}
@@ -882,12 +900,12 @@ def test_slice_dijkstra_output_stays_within_budget(monkeypatch):
     alone does, and the slicing does not change the result."""
     import scipy.sparse.csgraph as csgraph
 
-    args = (5, 11.0, 3, 120, 9)
-    whole = memory_experiment(*args)
+    args = (_SCALES["11.0"], 5, 3, 120, 9)
+    whole = memory._failures(*args)
     budget, n_nodes = 300, 4 * 12 + 1
     monkeypatch.setattr(memory, "_SLICE_ENTRIES", budget)
     calls = _calls(monkeypatch, "dijkstra", csgraph)
-    assert memory_experiment(*args) == whole
+    assert memory._failures(*args) == whole
     outputs = [(dist.size, pred.size, graph.shape[0] // n_nodes)
                for (graph, *_), (dist, pred) in calls]
     assert all(size == pred <= budget or trials == 1
@@ -901,7 +919,7 @@ def test_cap_path_decodes_as_the_dp_does(monkeypatch):
     """With the cap at 4, every larger component goes to the blossom; its
     matchings weigh what the DP's do on the same trials."""
     decoded = _calls(monkeypatch, "decode_matching")
-    memory_experiment(5, 8.0, 3, 60, 4)
+    memory._failures(_SCALES["8.0"], 5, 3, 60, 4)
     want = [(d, b, _weight(d, b, memory._pair_defects(d, b)))
             for (_, d, b, _), _ in decoded]
     monkeypatch.setattr(memory, "_DP_CAP", 4)
