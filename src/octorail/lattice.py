@@ -123,7 +123,8 @@ class MacronodeGraph:
     @classmethod
     def from_json(cls, text: str) -> "MacronodeGraph":
         """The graph that ``to_json`` wrote as ``text``; ``ValueError`` if
-        ``text`` is not a string or does not parse as JSON."""
+        ``text`` is not a string, does not parse as JSON or lacks a key or
+        a nesting that ``to_json`` writes."""
         if not isinstance(text, str):
             raise ValueError(f"text must be a string, got {text!r}")
         try:
@@ -131,13 +132,20 @@ class MacronodeGraph:
         except json.JSONDecodeError:
             raise ValueError(f"text must be a JSON document, got {text!r}"
                              ) from None
-        spec = LatticeSpec(**doc["spec"])
-        nodes = tuple(nd["j"] for nd in doc["nodes"])
-        coords = {nd["j"]: tuple(nd["coords"]) for nd in doc["nodes"]}
-        roles = {nd["j"]: nd["role"] for nd in doc["nodes"] if "role" in nd}
-        edges = tuple(Edge(e["a"], e["b"], e["axis"], e["flavor"])
-                      for e in doc["edges"])
-        ports = tuple(tuple(p) for p in doc.get("ports", []))
+        # a missing key or a value of the wrong JSON type surfaces as a
+        # KeyError or TypeError in the reads below
+        try:
+            spec = LatticeSpec(**doc["spec"])
+            nodes = tuple(nd["j"] for nd in doc["nodes"])
+            coords = {nd["j"]: tuple(nd["coords"]) for nd in doc["nodes"]}
+            roles = {nd["j"]: nd["role"] for nd in doc["nodes"]
+                     if "role" in nd}
+            edges = tuple(Edge(e["a"], e["b"], e["axis"], e["flavor"])
+                          for e in doc["edges"])
+            ports = tuple(tuple(p) for p in doc.get("ports", []))
+        except (KeyError, TypeError):
+            raise ValueError("text must be a macronode graph document, "
+                             f"got {text!r}") from None
         return cls(spec, nodes, coords, edges, roles, ports)
 
     def to_dot(self) -> str:

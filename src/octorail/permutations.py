@@ -5,14 +5,21 @@ splitter network only permutes the homodyne bases (up to pi rotations),
 i.e. when S.P.S^T is a signed permutation matrix.  The subgroup has order
 1344 and indexes 30 right cosets of S8, one per static lattice
 configuration.
+
+The group is AGL(3, 2), which acts 3-transitively on the eight modes, so
+every coset has a member that maps modes 1, 2, 3 to themselves, and the
+coset's lexicographic minimum is among those members.  ``cosets`` reads the
+representatives off the 120 such permutations and the 4-element pointwise
+stabilizer of modes 1-3, and raises unless (representatives) * 1344 = 8!,
+which holds exactly when the group is 3-transitive.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -154,46 +161,27 @@ def is_allowed(p: ModePermutation, implementation: str = "closure") -> bool:
     return p.images in _allowed_images_via_sets()
 
 
-def _lex_s8() -> np.ndarray:
-    """S8 as a (40320, 8) int64 array of 0-based images in lexicographic
-    order.  Stage m turns the lexicographic S_m in the last m columns into
-    S_(m+1) in the last m + 1: block v (v = 0..m) puts v in front of S_m
-    with every image >= v raised by one."""
-    perms = np.empty((40320, 8), dtype=np.int64)
-    perms[0, 7] = 0
-    size = 1  # m!
-    for m in range(1, 8):
-        col = 7 - m
-        tail = perms[:size, col + 1:]
-        # block 0 overwrites the rows it reads from, so it goes last
-        for v in range(m, -1, -1):
-            block = perms[v * size:(v + 1) * size]
-            block[:, col + 1:] = tail + (tail >= v)
-            block[:, col] = v
-        size *= m + 1
-    return perms
-
-
 def cosets() -> list[ModePermutation]:
     """Lexicographically smallest representative of each right coset of the
-    allowed group in S8: sweep S8 in lexicographic order, and let each
-    permutation that no earlier coset holds start a new one."""
+    allowed group G in S8, in lexicographic order.
+
+    G is 3-transitive, so every coset G o s holds a permutation whose first
+    three images are (1, 2, 3), and its minimum is one of them.  Those
+    members are H o t, where H is the pointwise stabilizer of modes 1-3,
+    so the representatives are the prefix-(1, 2, 3) permutations that are
+    the smallest in their H-orbit.  The check (representatives) * |G| = 8!
+    holds exactly when G is 3-transitive."""
     allowed = np.array(list(_allowed_images()), dtype=np.int64) - 1
-    perms = _lex_s8()
-    codes = perms @ _BASE8
-    assigned = np.zeros(len(codes), dtype=bool)
-    reps = []
-    first = 0  # every permutation before it is assigned
-    while True:
-        first += int(np.argmin(assigned[first:]))
-        if assigned[first]:
-            return reps
-        rep = perms[first]
-        reps.append(ModePermutation(tuple(i + 1 for i in rep.tolist())))
-        # its coset {g o rep}: (g o rep)(j) = g(rep(j)); sorted keys make
-        # the binary searches walk the table once
-        coset = np.sort(allowed[:, rep] @ _BASE8)
-        assigned[np.searchsorted(codes, coset)] = True
+    stab = allowed[(allowed[:, :3] == (0, 1, 2)).all(axis=1)]
+    prefixed = np.array([(0, 1, 2) + tail for tail in
+                         itertools.permutations(range(3, 8))], dtype=np.int64)
+    # (h o t)(j) = h(t(j)) for every h in H (a row) and prefixed t (a column)
+    orbits = stab[:, prefixed] @ _BASE8
+    reps = prefixed[orbits.min(axis=0) == prefixed @ _BASE8] + 1
+    if len(reps) * len(allowed) != math.factorial(8):
+        raise RuntimeError("the allowed group is not 3-transitive: "
+                           f"{len(reps)} * {len(allowed)} != 8!")
+    return [ModePermutation(tuple(rep)) for rep in reps.tolist()]
 
 
 @dataclass(frozen=True)
@@ -222,7 +210,8 @@ def basis_transform(p: ModePermutation):
     for d in range(8):
         nonzero = np.nonzero(m8[d])[0]
         if len(nonzero) != 1 or abs(m8[d, nonzero[0]]) != 8:
-            dense = ExactMatrix([[ExactCoeff(Fraction(int(e), 8))
+            # e / 2^(6/2) = e / 8
+            dense = ExactMatrix([[ExactCoeff.from_half_power(int(e), 6)
                                   for e in row] for row in m8])
             return TransformRejection(dense, d + 1)
         j = int(nonzero[0])

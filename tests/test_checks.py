@@ -297,6 +297,14 @@ REFUSALS = [
      "text must be a string, got 1"),
     ("json-parse", lambda: MacronodeGraph.from_json("nonsense"),
      "text must be a JSON document, got 'nonsense'"),
+    ("json-number", lambda: MacronodeGraph.from_json("1"),
+     "text must be a macronode graph document, got '1'"),
+    ("json-list", lambda: MacronodeGraph.from_json("[]"),
+     "text must be a macronode graph document, got '[]'"),
+    ("json-no-spec", lambda: MacronodeGraph.from_json("{}"),
+     "text must be a macronode graph document, got '{}'"),
+    ("json-spec-number", lambda: MacronodeGraph.from_json('{"spec": 5}'),
+     "text must be a macronode graph document, got '{\"spec\": 5}'"),
     # memory
     ("distance-choice", lambda: memory_experiment(2, 10.0, 1, 1, 0),
      "distance must be one of 3, 5, 7, got 2"),

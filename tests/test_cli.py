@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import golden
@@ -84,6 +85,18 @@ def test_verify_all_times_every_entry_and_keeps_the_recorded_report(runner):
         assert type(seconds) is float and math.isfinite(seconds)
         assert seconds >= 0
     assert golden.difference("verify_all") is None
+
+
+def test_verify_all_allocates_no_multi_megabyte_transient():
+    # the suite needs about 0.6 MB of Python allocations at its peak; an
+    # int64 table of all 40,320 permutations of S8 alone takes 2.6 MB
+    tracemalloc.start()
+    try:
+        run_verification_suites()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_network_dump(runner):

@@ -1,8 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from octorail import permutations
+from octorail.exact import ExactCoeff, ExactMatrix
+from octorail.networks import eightsplitter_sign_form
 from octorail.permutations import (GENERATORS, ModePermutation,
                                    SignedPermutationMatrix,
                                    TransformRejection, basis_transform,
@@ -102,13 +105,6 @@ def test_closure_matches_the_tuple_oracle(generators):
             assert tuple(g.images[j - 1] for j in h) in group
 
 
-def test_lex_s8_is_itertools_order():
-    table = permutations._lex_s8()
-    assert table.shape == (40320, 8)
-    assert table.tolist() == [list(p) for p in
-                              itertools.permutations(range(8))]
-
-
 def test_coset_count_and_disjointness():
     reps = cosets()
     assert len(reps) == 30
@@ -144,6 +140,45 @@ def test_cosets_match_per_permutation_oracle():
     for rep in reps:
         coset = {tuple(g[j - 1] for j in rep.images) for g in allowed}
         assert rep.images == min(coset)
+
+
+def test_cosets_rest_on_three_point_stabilizer():
+    # the premises of ``cosets``, on tuples: the group maps (1, 2, 3) onto
+    # every ordered triple, 4 elements fix modes 1-3, and each coset meets
+    # the prefix-(1, 2, 3) permutations in exactly those 4
+    allowed = [p.images for p in generate_allowed()]
+    triples = {g[:3] for g in allowed}
+    assert triples == set(itertools.permutations(range(1, 9), 3))
+    assert len(triples) == 336
+    assert sum(g[:3] == (1, 2, 3) for g in allowed) == 4
+    for rep in cosets():
+        coset = {tuple(g[j - 1] for j in rep.images) for g in allowed}
+        assert sum(c[:3] == (1, 2, 3) for c in coset) == 4
+
+
+def test_cosets_refuse_a_group_that_is_not_three_transitive(monkeypatch):
+    small = permutations._closure([ModePermutation.from_cycles("(123)"),
+                                   ModePermutation.from_cycles("(45)")])
+    monkeypatch.setattr(permutations, "_allowed_images", lambda: small)
+    with pytest.raises(RuntimeError, match="not 3-transitive"):
+        cosets()
+
+
+def test_rejections_carry_the_dense_transform():
+    # every non-identity coset representative against the Fraction-built
+    # 8 S.P.S^T and the first row that is not a signed unit row
+    h = eightsplitter_sign_form().tolist()
+    for p in cosets()[1:]:
+        m8 = [[sum(h[d][p(i) - 1] * h[j][i - 1] for i in range(1, 9))
+               for j in range(8)] for d in range(8)]
+        want = ExactMatrix([[ExactCoeff(Fraction(e, 8)) for e in row]
+                            for row in m8])
+        row = next(d for d, r in enumerate(m8, start=1)
+                   if sorted(map(abs, r)) != [0] * 7 + [8])
+        got = basis_transform(p)
+        assert isinstance(got, TransformRejection)
+        assert got.matrix == want
+        assert got.offending_row == row
 
 
 def test_membership_implementations_agree_exhaustively():
