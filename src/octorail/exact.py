@@ -7,10 +7,12 @@ instead of floats.
 
 An element is held as three Python integers (p, q, d) with value
 (p + q*sqrt2)/d, in the normal form d > 0 and gcd(p, q, d) = 1.  The normal
-form is unique, so equality is three integer compares, and every field
-operation is integer arithmetic followed by one gcd.  The denominator is
-general, not a power of two: elimination divides by norms p^2 - 2q^2 such
-as 3.
+form is unique, so equality is three integer compares.  Every field
+operation is integer arithmetic followed by at most one gcd: none when the
+denominator is 1, and no division when the gcd is 1.  Elimination updates
+a - f*b go through one private helper that normalises once.  The
+denominator is general, not a power of two: elimination divides by norms
+p^2 - 2q^2 such as 3.
 """
 
 from __future__ import annotations
@@ -25,10 +27,23 @@ _SQRT2 = 2 ** 0.5
 
 def _new(p, q, d):
     """ExactCoeff (p + q*sqrt2)/d for integers p, q and d > 0, reduced."""
-    g = gcd(p, q, d)
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
     c = object.__new__(ExactCoeff)
-    c.p, c.q, c.d = p // g, q // g, d // g
+    c.p, c.q, c.d = p, q, d
     return c
+
+
+def _sub_mul(a, f, b):
+    """a - f*b for ExactCoeffs a, f and b, normalised once."""
+    d, d1 = f.d * b.d, a.d
+    p = f.p * b.p + 2 * f.q * b.q
+    q = f.p * b.q + f.q * b.p
+    if d == d1:
+        return _new(a.p - p, a.q - q, d)
+    return _new(a.p * d - p * d1, a.q * d - q * d1, d1 * d)
 
 
 class ExactCoeff:
@@ -38,6 +53,10 @@ class ExactCoeff:
     them back as Fractions.  The normal form a / 2^(k/2) (integer a,
     k >= 0) used in printed matrices is a special case: one of the two
     components is zero and the denominator is a power of two.
+
+    An ExactCoeff equals the ints and Fractions of the same value, but
+    hashes apart from them: ``ExactCoeff(-1) == -1``, while a set of
+    ExactCoeffs does not find -1.  Coerce before a hashed lookup.
     """
 
     __slots__ = ("p", "q", "d")
@@ -250,7 +269,7 @@ def gauss_jordan(rows, n_cols):
             f = row[col]
             if i != rank and f:
                 for j, b in support:
-                    row[j] = row[j] - f * b
+                    row[j] = _sub_mul(row[j], f, b)
         pivots.append(col)
     return aug, pivots
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import require_int
-from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO
+from .exact import ExactMatrix, HALF_SQRT2, ONE, ZERO, _new
 
 LAYER_TAGS = {0: "DRL", 1: "QRL", 2: "ORL"}
 
@@ -75,11 +75,34 @@ def layer_matrix(layer, n_modes: int) -> ExactMatrix:
 @lru_cache(maxsize=8)
 def x_rows(network: SplitterNetwork) -> tuple:
     """The network's exact x-quadrature transfer matrix as immutable rows of
-    ExactCoeff, composed once per network and shared by its readers."""
-    out = ExactMatrix.identity(network.n_modes)
+    ExactCoeff, composed once per network and shared by its readers.
+
+    Each layer is (B + C*sqrt2)/sqrt2, where B holds its pair blocks
+    [[1, -1], [1, 1]] and C is 1 on its unpaired modes.  The product of L
+    layers is (P + Q*sqrt2)/sqrt2^L with integer matrices P and Q, composed
+    as row operations on (P, Q) in Z[sqrt2]; each entry becomes an
+    ExactCoeff once, at the end (``ZERO`` for a zero entry).
+    """
+    n = network.n_modes
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [[0] * n for _ in range(n)]
     for layer in network.layers:
-        out = layer_matrix(layer, network.n_modes) @ out
-    return tuple(map(tuple, out.rows))
+        unpaired = set(range(n))
+        for j, k in layer:
+            unpaired -= {j, k}
+            p[j], p[k] = ([a - b for a, b in zip(p[j], p[k])],
+                          [a + b for a, b in zip(p[j], p[k])])
+            q[j], q[k] = ([a - b for a, b in zip(q[j], q[k])],
+                          [a + b for a, b in zip(q[j], q[k])])
+        for i in unpaired:  # (P + Q*sqrt2)*sqrt2 = 2Q + P*sqrt2
+            p[i], q[i] = [2 * b for b in q[i]], p[i]
+    n_layers = len(network.layers)
+    if n_layers % 2:  # (P + Q*sqrt2)/sqrt2 = (2Q + P*sqrt2)/2
+        p, q = [[2 * b for b in row] for row in q], p
+    d = 2 ** ((n_layers + 1) // 2)
+    return tuple(tuple(_new(a, b, d) if a or b else ZERO
+                       for a, b in zip(p_row, q_row))
+                 for p_row, q_row in zip(p, q))
 
 
 def x_block(network: SplitterNetwork) -> ExactMatrix:

@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .checks import require_choice
 from .exact import (ExactCoeff, HALF_SQRT2, ONE, SQRT2, ZERO, _new,
-                    gauss_jordan)
+                    _sub_mul, gauss_jordan)
 # Unused here; perfbench reads the Monte Carlo under these names.  Its
 # memory ops call surface.memory_experiment, and its tracer wraps
 # octorail.surface's _flip_weights and decode_matching, and every alias of
@@ -162,7 +163,7 @@ class MacronodeModel:
     P = pq[0, i, j], Q = pq[1, i, j] and one exponent e for every entry, and
     the splitter network is one integer product with the sign form H of the
     composed S = H/(2*sqrt2).  Each entry becomes an ExactCoeff once, at
-    the end.
+    the end, and every zero entry is ``ZERO``.
     """
 
     def __init__(self):
@@ -191,7 +192,8 @@ class MacronodeModel:
         pq[:, local] = _over_sqrt2(mixed).reshape(2, 16, _N_SYM)
         e += 2
         d = 1 << e
-        self.rows = [[_new(p, q, d) for p, q in zip(p_row, q_row)]
+        self.rows = [[_new(p, q, d) if p or q else ZERO
+                      for p, q in zip(p_row, q_row)]
                      for p_row, q_row in zip(*pq.tolist())]
 
     def detector_row(self, detector: int, angle: float):
@@ -234,6 +236,8 @@ class QuadratureRelation:
 
     def __post_init__(self):
         for coeff in self.coefficients.values():
+            if isinstance(coeff, (int, Fraction)):
+                coeff = ExactCoeff(coeff)  # equal to it, but hashed apart
             if coeff not in _ALLOWED:
                 raise ValueError("coefficient outside the documented set")
 
@@ -334,6 +338,7 @@ _DATA = (_sym_index("x1"), _sym_index("p1"))
 #: of it is lattice-trivial (sqrt2 on a qunaught symbol, 2 on the data
 #: mode).
 _STEP = tuple(ExactCoeff(2) if i in _DATA else SQRT2 for i in range(_N_SYM))
+_STEP_INV = tuple(step.inverse() for step in _STEP)
 
 
 def _symbol_vector(coefficients: dict):
@@ -344,23 +349,26 @@ def _symbol_vector(coefficients: dict):
     return vec
 
 
-def _leftover(target, raw, rows_m, record):
-    """target - raw - sum_d record[m_d] * rows_m[d], symbol by symbol: what
-    is left of a relation once the outcome record compensates it."""
-    left = [t - r for t, r in zip(target, raw)]
+def _leftover(diff, rows_m, record):
+    """diff - sum_d record[m_d] * rows_m[d], symbol by symbol, where diff is
+    target - raw: what is left of a relation once the outcome record
+    compensates it.  The zero entries of the rows are skipped."""
+    left = list(diff)
     for d, row in enumerate(rows_m):
         coeff = record[f"m{d + 1}"]
         if coeff:
-            left = [c - coeff * y for c, y in zip(left, row)]
+            for i, y in enumerate(row):
+                if y:
+                    left[i] = _sub_mul(left[i], coeff, y)
     return left
 
 
 def _is_droppable(vec) -> bool:
     """True when the leftover is a lattice-trivial displacement: an integer
     multiple of ``_STEP`` on every symbol."""
-    for c, step in zip(vec, _STEP):
+    for c, step_inv in zip(vec, _STEP_INV):
         if c:
-            n = c / step
+            n = c * step_inv
             if n.q or n.d != 1:
                 return False
     return True
@@ -371,11 +379,17 @@ def _is_droppable(vec) -> bool:
 def _column_reduce(matrix):
     """Integer column reduction of ``matrix``: (a, v) with a = matrix @ v
     for a unimodular v, where each row of a has at most one nonzero entry
-    past the columns that the rows above it lead."""
+    past the columns that the rows above it lead.
+
+    Both come sparse.  Each row of a is (lead, entries): its nonzero
+    (column, value) entries in column order, and the column it leads, which
+    is its last entry, or None.  Each row of v is its nonzero (column,
+    value) entries."""
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
     a = [row[:] for row in matrix]
     v = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
+    leads = []
     rank = 0
     for i in range(n_rows):
         while True:
@@ -397,29 +411,36 @@ def _column_reduce(matrix):
                     for row in mat:
                         row[c] -= q * row[c0]
         if rank < n_cols and a[i][rank]:
+            leads.append(rank)
             rank += 1
-    return a, v
+        else:
+            leads.append(None)
+
+    def sparse(row):
+        return tuple((c, e) for c, e in enumerate(row) if e)
+
+    return (tuple((lead, sparse(row)) for lead, row in zip(leads, a)),
+            tuple(map(sparse, v)))
 
 
 def _back_substitute(a, v, rhs):
-    """One integer solution of matrix @ z = rhs, given the column reduction
-    (a, v) of matrix, or None."""
-    n_cols = len(v)
-    y = [0] * n_cols
-    used = [False] * n_cols
-    for i, row in enumerate(a):
-        residual = rhs[i] - sum(row[c] * y[c] for c in range(n_cols))
-        lead = next((c for c in range(n_cols) if row[c] and not used[c]),
-                    None)
+    """One integer solution of matrix @ z = rhs, given the sparse column
+    reduction (a, v) of matrix from ``_column_reduce``, or None.
+
+    Row by row, a @ y = rhs fixes y at the row's lead column, which no row
+    above has set; a row without a lead must already hold.  Then
+    z = v @ y."""
+    y = [0] * len(v)
+    for (lead, entries), b in zip(a, rhs):
+        residual = b - sum(e * y[c] for c, e in entries)
         if lead is None:
-            if residual != 0:
+            if residual:
                 return None
             continue
-        if residual % row[lead] != 0:
+        y[lead], rest = divmod(residual, entries[-1][1])
+        if rest:
             return None
-        y[lead] = residual // row[lead]
-        used[lead] = True
-    return [sum(v[i][c] * y[c] for c in range(n_cols)) for i in range(n_cols)]
+    return [sum(e * y[c] for c, e in row) for row in v]
 
 
 #: The symbols in the order of the record system's equations and of their
@@ -437,9 +458,9 @@ class _RecordFactor:
     ``r_rows`` keeps their nonzero lattice-integer coefficients as
     (k, value).  The other rows involve the integers n alone, and hold
     when both their rational and their sqrt2 parts do: ``n_dens`` scales
-    each such row to integers, and ``reduction`` is the integer column
-    reduction of the scaled parts, each row's rational part before its
-    sqrt2 part.
+    each such row to integers, and ``reduction`` is the sparse integer
+    column reduction (``_column_reduce``) of the scaled parts, each row's
+    rational part before its sqrt2 part.
     """
 
     pivots: tuple
@@ -455,8 +476,9 @@ def _record_factor(rows_m):
     (a tuple of row tuples) over Q(sqrt2) in the record r: row k is
     sum_d r_d * m_d[i] + _STEP[i] * n_k for the k-th symbol i of
     ``_CONDITIONS``.  The n block S starts as the diagonal of the steps,
-    so the row transform is the reduced n block with each column divided
-    by its step."""
+    so the row transform is the reduced n block with each column
+    multiplied by its step's inverse.  The integer rows are column-reduced
+    once, into the sparse form that ``_back_substitute`` reads."""
     n_eq = len(_CONDITIONS)
     rows = [[rows_m[d][i] for d in range(8)]
             + [_STEP[i] if j == k else ZERO for j in range(n_eq)]
@@ -464,7 +486,7 @@ def _record_factor(rows_m):
     aug, pivots = gauss_jordan(rows, 8)
     rank = len(pivots)
     transform = tuple(
-        tuple((r, row[8 + k] / _STEP[i]) for r, row in enumerate(aug)
+        tuple((r, row[8 + k] * _STEP_INV[i]) for r, row in enumerate(aug)
               if row[8 + k])
         for k, i in enumerate(_CONDITIONS))
     r_rows = tuple(tuple((k, e) for k, e in enumerate(row[8:]) if e)
@@ -475,9 +497,8 @@ def _record_factor(rows_m):
         n_dens.append(den)
         n_int.append([e.p * (den // e.d) for e in row[8:]])
         n_int.append([e.q * (den // e.d) for e in row[8:]])
-    a, v = _column_reduce(n_int)
     return _RecordFactor(tuple(pivots), transform, r_rows, tuple(n_dens),
-                         (tuple(map(tuple, a)), tuple(map(tuple, v))))
+                         _column_reduce(n_int))
 
 
 def _solve_displacement(target, raw, rows_m):
@@ -501,8 +522,9 @@ def _solve_displacement(target, raw, rows_m):
     reduced = [ZERO] * len(_CONDITIONS)
     for column, i in zip(factor.transform, _CONDITIONS):
         if diff[i]:
+            minus = -diff[i]
             for r, t in column:
-                reduced[r] = reduced[r] + t * diff[i]
+                reduced[r] = _sub_mul(reduced[r], t, minus)
     rank = len(factor.pivots)
     g_int = []
     for den, g in zip(factor.n_dens, reduced[rank:]):
@@ -518,8 +540,7 @@ def _solve_displacement(target, raw, rows_m):
     for c, g, coeffs in zip(factor.pivots, reduced, factor.r_rows):
         record[f"m{c + 1}"] = g - sum((e * n[k] for k, e in coeffs if n[k]),
                                       ZERO)
-    return record if _is_droppable(
-        _leftover(target, raw, rows_m, record)) else None
+    return record if _is_droppable(_leftover(diff, rows_m, record)) else None
 
 
 # ---- relation verification ----------------------------------------------
@@ -559,7 +580,8 @@ def verify_relation(rel: QuadratureRelation,
     rows_m = model.measurement_rows(basis)
     raw = model.quadrature_row(rel.output_label)
     target = _symbol_vector(rel.coefficients)
-    leftover = _leftover(target, raw, rows_m, rel.displacement)
+    leftover = _leftover([t - r for t, r in zip(target, raw)], rows_m,
+                         rel.displacement)
     if _is_droppable(leftover):
         return RelationCheck(rel, "exact")
     derived = _solve_displacement(target, raw, rows_m)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from octorail.exact import ExactCoeff, ExactMatrix, ONE, ZERO, solve_exact
+from octorail.exact import (ExactCoeff, ExactMatrix, ONE, ZERO, _new,
+                            _sub_mul, solve_exact)
 
 SQRT2 = math.sqrt(2)
 
@@ -124,6 +125,48 @@ def test_field_ops_match_fraction_pair_reference(c1, c2):
     # floats round as the Fraction components do
     assert float(c1) == float(x[0]) + float(x[1]) * SQRT2
     assert bool(c1) == (x != (0, 0))
+
+
+# denominators that are not powers of two, zero among the values
+odd_fractions = st.builds(Fraction, st.integers(-40, 40),
+                          st.sampled_from([1, 2, 3, 4, 5, 7, 12, 21, 35]))
+odd_coeffs = st.builds(ExactCoeff, odd_fractions, odd_fractions)
+shared_den = st.sampled_from([1, 3, 5, 7, 8, 15])
+
+
+def _pair(c):
+    return (c.a, c.b)
+
+
+@given(odd_coeffs, odd_coeffs, odd_coeffs)
+def test_sub_mul_matches_fraction_pair_reference(a, f, b):
+    for a_, f_, b_ in ((a, f, b), (a, ZERO, b), (a, f, ZERO), (ZERO, f, b)):
+        prod = _ref_mul(_pair(f_), _pair(b_))
+        got = _sub_mul(a_, f_, b_)
+        assert _pair(got) == (a_.a - prod[0], a_.b - prod[1])
+        assert got.d > 0 and math.gcd(got.p, got.q, got.d) == 1
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60),
+       st.integers(-60, 60), shared_den, st.integers(-60, 60))
+def test_sub_mul_with_equal_denominators(p1, q1, p2, q2, d, n):
+    # a and f*b share a denominator whenever _new finds no common factor
+    a, f = _new(p1, q1, d), _new(p2, q2, d)
+    b = ExactCoeff(n)
+    got = _sub_mul(a, f, b)
+    assert _pair(got) == (Fraction(p1 - n * p2, d), Fraction(q1 - n * q2, d))
+    assert got.d > 0 and math.gcd(got.p, got.q, got.d) == 1
+
+
+@given(st.integers(-200, 200), st.integers(-200, 200),
+       st.integers(1, 60))
+def test_new_returns_the_normal_form(p, q, d):
+    # whether or not the gcd is 1 or d is 1, the triple is reduced
+    c = _new(p, q, d)
+    assert c.d > 0 and math.gcd(c.p, c.q, c.d) == 1
+    assert (c.a, c.b) == (Fraction(p, d), Fraction(q, d))
+    again = ExactCoeff(Fraction(p, d), Fraction(q, d))
+    assert (c.p, c.q, c.d) == (again.p, again.q, again.d)
 
 
 # ---------------------------------------------------------------------------

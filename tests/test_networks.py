@@ -70,6 +70,31 @@ def test_x_block_is_the_layer_product(level):
     assert networks.x_rows(net) == tuple(map(tuple, x_block(net).rows))
 
 
+_ODD_NETWORKS = {
+    "level-4": build_network(4),
+    "reduced": cancel_layer(build_network(2), [0.0] * 8).reduced,
+    # the modes a layer leaves unpaired pass it unchanged
+    "partial": networks.SplitterNetwork(4, (((0, 1),), ((1, 2),)),
+                                        ("A", "B")),
+    # one pair twice, then reversed: 2x2 blocks of a rotation by pi
+    "repeated": networks.SplitterNetwork(
+        4, (((0, 1), (2, 3)), ((0, 1),), ((1, 0),)), ("A", "B", "C")),
+    "no-layers": networks.SplitterNetwork(3, (), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_NETWORKS))
+def test_x_rows_equal_the_layer_product_entry_for_entry(name):
+    net = _ODD_NETWORKS[name]
+    want = _composed_oracle(net).rows
+    got = networks.x_rows(net)
+    assert len(got) == len(want) == net.n_modes
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == net.n_modes
+        for g, w in zip(got_row, want_row):
+            assert g == w and (g.p, g.q, g.d) == (w.p, w.q, w.d)
+
+
 def test_x_block_returns_a_matrix_the_caller_may_modify():
     net = build_network(2)
     first = x_block(net)

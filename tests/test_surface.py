@@ -214,6 +214,19 @@ def test_oracle_and_solver_reject_an_underivable_relation(record_verdict):
     assert record_verdict(*args) == "infeasible"
 
 
+def test_relation_takes_documented_coefficients_as_int_or_fraction():
+    # an ExactCoeff equals the int or Fraction of its value but hashes
+    # apart from it; the documented set is compared by value
+    zero_record = _relation("even-data", "x1'").displacement
+    for coeff in (-1, Fraction(1), 0, ExactCoeff(-1)):
+        rel = QuadratureRelation("x1'", {"x1": coeff}, zero_record)
+        assert rel.coefficients["x1"] == coeff
+    for coeff in (3, Fraction(1, 3), -1.0, "x"):
+        with pytest.raises(ValueError,
+                           match="coefficient outside the documented set"):
+            QuadratureRelation("x1'", {"x1": coeff}, zero_record)
+
+
 def _as_triples(record):
     if record is None:
         return None
